@@ -133,14 +133,14 @@ fn bench_steady_state(c: &mut Criterion) {
     c.bench_function("serve_8x16_with_detection", |b| {
         b.iter(|| {
             with_detection
-                .serve_stream(&s.requests, 16, None, 0x5EED, 2)
+                .serve_queue(&s.requests, 16, usize::MAX, None, None, 0x5EED, 2)
                 .unwrap()
         })
     });
     c.bench_function("serve_8x16_no_detection", |b| {
         b.iter(|| {
             without
-                .serve_stream(&s.requests, 16, None, 0x5EED, 2)
+                .serve_queue(&s.requests, 16, usize::MAX, None, None, 0x5EED, 2)
                 .unwrap()
         })
     });
@@ -161,14 +161,16 @@ fn bench_alarm_path(c: &mut Criterion) {
         b.iter(|| {
             let mut fleet = make_fleet(&s, 2, PolicyConfig::new(s.thresholds.clone()));
             fleet
-                .serve_stream(
+                .serve_queue(
                     &s.requests[..64],
                     16,
+                    usize::MAX,
                     Some(Compromise {
                         member: 0,
                         onset_batch: 0,
                         conditions: &attack,
                     }),
+                    None,
                     0x5EED,
                     2,
                 )
@@ -192,9 +194,10 @@ fn bench_fault_path(c: &mut Criterion) {
         b.iter(|| {
             let mut fleet = make_fleet(&s, 2, PolicyConfig::new(s.thresholds.clone()));
             fleet
-                .serve_stream_with_faults(
+                .serve_queue(
                     &s.requests[..64],
                     16,
+                    usize::MAX,
                     None,
                     Some(MemberFault {
                         member: 0,
@@ -218,13 +221,13 @@ fn emit_baseline(c: &mut Criterion) {
     let time_stream = |fleet: &mut Fleet| -> f64 {
         // One warm-up pass, then the median of 5 timed passes.
         fleet
-            .serve_stream(&s.requests, 16, None, 0x5EED, 2)
+            .serve_queue(&s.requests, 16, usize::MAX, None, None, 0x5EED, 2)
             .unwrap();
         let mut samples: Vec<f64> = (0..5)
             .map(|_| {
                 let start = Instant::now();
                 fleet
-                    .serve_stream(&s.requests, 16, None, 0x5EED, 2)
+                    .serve_queue(&s.requests, 16, usize::MAX, None, None, 0x5EED, 2)
                     .unwrap();
                 start.elapsed().as_secs_f64() / batches as f64
             })
@@ -264,7 +267,7 @@ fn emit_baseline(c: &mut Criterion) {
     let mut judged = make_fleet(&s, 2, PolicyConfig::baseline(s.thresholds.clone()));
     judged.set_observer(Some(observer.clone()));
     judged
-        .serve_stream(&s.requests, 16, None, 0x5EED, 2)
+        .serve_queue(&s.requests, 16, usize::MAX, None, None, 0x5EED, 2)
         .unwrap();
     let alert_path = {
         let mut samples: Vec<f64> = (0..5)
@@ -288,14 +291,16 @@ fn emit_baseline(c: &mut Criterion) {
         let mut fleet = make_fleet(&s, 2, PolicyConfig::new(s.thresholds.clone()));
         let start = Instant::now();
         fleet
-            .serve_stream(
+            .serve_queue(
                 &s.requests[..64],
                 16,
+                usize::MAX,
                 Some(Compromise {
                     member: 0,
                     onset_batch: 0,
                     conditions: &attack,
                 }),
+                None,
                 0x5EED,
                 2,
             )
@@ -312,9 +317,10 @@ fn emit_baseline(c: &mut Criterion) {
         let mut fleet = make_fleet(&s, 2, PolicyConfig::new(s.thresholds.clone()));
         let start = Instant::now();
         fleet
-            .serve_stream_with_faults(
+            .serve_queue(
                 &s.requests[..64],
                 16,
+                usize::MAX,
                 None,
                 Some(MemberFault {
                     member: 0,

@@ -658,7 +658,7 @@ fn print_serve(
     result!("\n=== Serving ({kind}): closed-loop secure serving runtime ===");
     let observe = profile || slo.is_some();
     let (_, report, obs) =
-        safelight_serve::eval::run_serving_experiment_observed(kind, opts, arrival, observe, slo)?;
+        safelight_serve::eval::run_serving_experiment(kind, opts, arrival, observe, slo)?;
     result!(
         "clean fleet accuracy: {}   [fleet {} × batch {} × {} batches, onset at {}, \
          arrival {}]",
@@ -831,7 +831,7 @@ fn print_chaos(
     result!("\n=== Chaos ({kind}): benign faults vs trojans on the fault-tolerant runtime ===");
     let observe = profile || slo.is_some();
     let (_, report, obs) =
-        safelight_serve::chaos::run_chaos_experiment_observed(kind, opts, arrival, observe, slo)?;
+        safelight_serve::chaos::run_chaos_experiment(kind, opts, arrival, observe, slo)?;
     result!(
         "clean fleet accuracy: {}   [fleet {} × batch {} × {} batches, trojan onset at {}, \
          arrival {}]",

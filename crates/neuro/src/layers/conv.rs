@@ -1,8 +1,6 @@
-//! 2-D convolution: im2col + blocked GEMM, an FFT overlap-add path for
-//! shapes where frequency-domain products win, and an integer datapath
-//! for quantized inference.
+//! 2-D convolution: im2col + blocked GEMM, and an integer datapath for
+//! quantized inference.
 
-use crate::fft::{fft2_forward_real, fft2_inverse_real, spectrum_mul_acc, Fft};
 use crate::init::he_normal;
 use crate::layers::{IntSpec, Layer, Param};
 use crate::linalg::int as intgemm;
@@ -18,36 +16,6 @@ use crate::{NeuroError, Tensor};
 /// combine in a fixed order and backward results are bitwise stable across
 /// thread counts.
 const BATCH_BLOCK: usize = 4;
-
-/// Convolution algorithm selector.
-///
-/// `Auto` (the default) defers to the `SAFELIGHT_CONV_IMPL` environment
-/// variable (`im2col` / `fft` / `auto`) and, failing that, to a per-shape
-/// cost model that charges the FFT path for its tile transforms and the
-/// im2col path for its (SIMD-derated) GEMM flops. The FFT path only
-/// serves stride-1 inference forwards; training and strided layers always
-/// run im2col, whatever is requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvImpl {
-    /// Environment override, then cost-model shape dispatch.
-    #[default]
-    Auto,
-    /// Always gather patches and run the blocked GEMM.
-    Im2col,
-    /// Frequency-domain overlap-add convolution where legal (stride 1,
-    /// inference); falls back to im2col elsewhere.
-    Fft,
-}
-
-/// Process-wide `SAFELIGHT_CONV_IMPL` override, read once.
-fn env_conv_impl() -> ConvImpl {
-    static ENV: std::sync::OnceLock<ConvImpl> = std::sync::OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("SAFELIGHT_CONV_IMPL") {
-        Ok(v) if v.eq_ignore_ascii_case("im2col") => ConvImpl::Im2col,
-        Ok(v) if v.eq_ignore_ascii_case("fft") => ConvImpl::Fft,
-        _ => ConvImpl::Auto,
-    })
-}
 
 /// A 2-D convolution over `[N, C, H, W]` batches.
 ///
@@ -77,7 +45,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     threads: usize,
-    conv_impl: ConvImpl,
     int_mode: Option<IntSpec>,
     weight: Param,
     bias: Param,
@@ -114,7 +81,6 @@ impl Conv2d {
             stride: 1,
             padding: kernel / 2,
             threads: 2,
-            conv_impl: ConvImpl::Auto,
             int_mode: None,
             weight: Param::new(weight, true),
             bias: Param::new(Tensor::zeros(vec![out_channels]), false),
@@ -149,15 +115,6 @@ impl Conv2d {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Pins the convolution algorithm (overriding both the environment
-    /// and the cost model). `Fft` still degrades to im2col for strided
-    /// layers and training passes, where the frequency path is not legal.
-    #[must_use]
-    pub fn with_conv_impl(mut self, imp: ConvImpl) -> Self {
-        self.conv_impl = imp;
         self
     }
 
@@ -333,52 +290,6 @@ impl Conv2d {
         }
     }
 
-    /// Estimated cost of the best FFT tile size for this layer shape, as
-    /// `(cost, tile)` — or `None` when the frequency path is not legal
-    /// (stride ≠ 1) or no power-of-two tile fits.
-    fn fft_candidate(&self, h: usize, w: usize, n: usize) -> Option<(f64, usize)> {
-        if self.stride != 1 {
-            return None;
-        }
-        let k = self.kernel;
-        let (ic, oc) = (self.in_channels, self.out_channels);
-        let hp = h + 2 * self.padding;
-        let wp = w + 2 * self.padding;
-        let mut best: Option<(f64, usize)> = None;
-        for p in [8usize, 16, 32, 64] {
-            if p < 2 * k || p - k + 1 == 0 {
-                continue;
-            }
-            let t = p - k + 1;
-            let ntiles = hp.div_ceil(t) * wp.div_ceil(t);
-            // One 2-D FFT of a p×p tile ≈ 10·p²·log2(p) flops (row +
-            // column passes, ~5 flops per butterfly element).
-            let f = 10.0 * (p * p) as f64 * (p as f64).log2();
-            // Kernel spectra amortize over the batch and all tiles; each
-            // tile pays ic forward + oc inverse transforms plus the
-            // pointwise complex products (4 flops per spectrum element
-            // per channel pair — one multiply-accumulate pass).
-            let cost = (ic * oc) as f64 * f
-                + (n * ntiles) as f64 * ((ic + oc) as f64 * f + (4 * ic * oc * p * p) as f64);
-            if best.is_none_or(|(c, _)| cost < c) {
-                best = Some((cost, p));
-            }
-        }
-        best
-    }
-
-    /// Shape dispatch for `ConvImpl::Auto`: FFT when its transform cost
-    /// beats the im2col GEMM's flops *derated by the SIMD advantage* of
-    /// the packed kernel (the FFT loops are scalar). Small kernels on
-    /// small images — the common CNN case — stay on im2col.
-    fn fft_auto_tile(&self, h: usize, w: usize, oh: usize, ow: usize, n: usize) -> Option<usize> {
-        let (cost, p) = self.fft_candidate(h, w, n)?;
-        let k = self.kernel;
-        let gemm_flops = 2.0 * (self.out_channels * self.in_channels * k * k * oh * ow * n) as f64;
-        const GEMM_SIMD_ADVANTAGE: f64 = 8.0;
-        (cost < gemm_flops / GEMM_SIMD_ADVANTAGE).then_some(p)
-    }
-
     /// im2col + blocked-GEMM forward (the float default); returns the
     /// assembled `[N][OC][OH·OW]` data.
     fn forward_im2col(
@@ -428,149 +339,6 @@ impl Conv2d {
                     out
                 })
             })
-        });
-
-        let mut data = Vec::with_capacity(n * per_sample_out);
-        for chunk in chunks {
-            data.extend_from_slice(&chunk);
-        }
-        data
-    }
-
-    /// Frequency-domain forward: overlap-add tiling with `p×p` real FFTs.
-    ///
-    /// Each `T×T` patch of the (padded) input (`T = p − kernel + 1`) is
-    /// zero-extended to `p×p` and transformed once per input channel; each
-    /// output channel then accumulates the pointwise spectrum products
-    /// against the pre-transformed (flipped) kernels and inverts. Tile
-    /// results overlap by `kernel − 1` pixels and add — linear
-    /// convolution by construction, since `T + kernel − 1 = p` leaves no
-    /// circular wrap. Only legal for stride 1; callers guarantee that.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_fft(
-        &self,
-        x: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        p: usize,
-    ) -> Vec<f32> {
-        let k = self.kernel;
-        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
-        let hp = h + 2 * self.padding;
-        let wp = w + 2 * self.padding;
-        let t = p - k + 1;
-        let spec_len = 2 * p * p;
-        let per_sample_out = oc_n * oh * ow;
-        let plan = Fft::new(p);
-        let weight = self.weight.value.as_slice();
-        let bias = self.bias.value.as_slice();
-        kernel_stats::record(KernelClass::FftConv);
-
-        // Kernel spectra, shared read-only by every worker: the flipped
-        // kernel (correlation = convolution with the flipped filter),
-        // zero-extended to p×p and transformed once per channel pair.
-        let mut hspec = vec![0.0f32; oc_n * ic_n * spec_len];
-        {
-            let mut tile = vec![0.0f32; p * p];
-            let mut fscratch = vec![0.0f32; 4 * p];
-            for oc in 0..oc_n {
-                for ic in 0..ic_n {
-                    tile.fill(0.0);
-                    let wk = &weight[(oc * ic_n + ic) * k * k..][..k * k];
-                    for u in 0..k {
-                        for v in 0..k {
-                            tile[u * p + v] = wk[(k - 1 - u) * k + (k - 1 - v)];
-                        }
-                    }
-                    let dst = &mut hspec[(oc * ic_n + ic) * spec_len..][..spec_len];
-                    fft2_forward_real(&plan, &tile, dst, &mut fscratch);
-                }
-            }
-        }
-        let hspec = &hspec;
-        let plan = &plan;
-
-        let chunks = map_blocks(n, BATCH_BLOCK, self.threads > 1, |start, end| {
-            let block_len = end - start;
-            let mut out = vec![0.0f32; block_len * per_sample_out];
-            scratch::with_buffer(Slot::FftImage, |xspec| {
-                xspec.clear();
-                xspec.resize(ic_n * spec_len, 0.0);
-                scratch::with_buffer(Slot::FftStage, |stage| {
-                    stage.clear();
-                    stage.resize(spec_len + p * p + 4 * p, 0.0);
-                    let (acc, rest) = stage.split_at_mut(spec_len);
-                    let (tile, fscratch) = rest.split_at_mut(p * p);
-                    for (si, s) in (start..end).enumerate() {
-                        let sample = &x[s * ic_n * h * w..];
-                        let out_s = &mut out[si * per_sample_out..(si + 1) * per_sample_out];
-                        for (oc, b) in bias.iter().enumerate() {
-                            out_s[oc * oh * ow..(oc + 1) * oh * ow].fill(*b);
-                        }
-                        let mut a = 0;
-                        while a < hp {
-                            let mut bcol = 0;
-                            while bcol < wp {
-                                // Gather + transform every input channel's tile.
-                                for ic in 0..ic_n {
-                                    let plane = &sample[ic * h * w..(ic + 1) * h * w];
-                                    tile.fill(0.0);
-                                    for ty in 0..t.min(hp - a) {
-                                        let iy = a + ty;
-                                        if iy < self.padding || iy >= h + self.padding {
-                                            continue;
-                                        }
-                                        let iy = iy - self.padding;
-                                        for tx in 0..t.min(wp - bcol) {
-                                            let ix = bcol + tx;
-                                            if ix < self.padding || ix >= w + self.padding {
-                                                continue;
-                                            }
-                                            tile[ty * p + tx] = plane[iy * w + (ix - self.padding)];
-                                        }
-                                    }
-                                    let dst = &mut xspec[ic * spec_len..(ic + 1) * spec_len];
-                                    fft2_forward_real(plan, tile, dst, fscratch);
-                                }
-                                // Accumulate spectra per output channel, invert,
-                                // overlap-add into the output plane.
-                                for oc in 0..oc_n {
-                                    acc.fill(0.0);
-                                    for ic in 0..ic_n {
-                                        spectrum_mul_acc(
-                                            acc,
-                                            &xspec[ic * spec_len..(ic + 1) * spec_len],
-                                            &hspec[(oc * ic_n + ic) * spec_len..][..spec_len],
-                                        );
-                                    }
-                                    fft2_inverse_real(plan, acc, tile, fscratch);
-                                    let out_plane = &mut out_s[oc * oh * ow..(oc + 1) * oh * ow];
-                                    for py in 0..p {
-                                        let r = a + py;
-                                        if r < k - 1 || r - (k - 1) >= oh {
-                                            continue;
-                                        }
-                                        let ro = r - (k - 1);
-                                        for px in 0..p {
-                                            let c = bcol + px;
-                                            if c < k - 1 || c - (k - 1) >= ow {
-                                                continue;
-                                            }
-                                            out_plane[ro * ow + (c - (k - 1))] += tile[py * p + px];
-                                        }
-                                    }
-                                }
-                                bcol += t;
-                            }
-                            a += t;
-                        }
-                    }
-                });
-            });
-            out
         });
 
         let mut data = Vec::with_capacity(n * per_sample_out);
@@ -685,9 +453,9 @@ impl Layer for Conv2d {
         let kdim = self.in_channels * self.kernel * self.kernel;
         let x = input.as_slice();
 
-        // Dispatch: integer datapath (quantized inference) first, then the
-        // FFT shape dispatch, then the im2col GEMM default. Training
-        // always runs im2col — its backward recomputes the same patches.
+        // Dispatch: the integer datapath serves quantized inference; every
+        // other forward (training included, whose backward recomputes the
+        // same patches) runs the im2col GEMM.
         let data = if !train
             && self
                 .int_mode
@@ -696,23 +464,7 @@ impl Layer for Conv2d {
             let spec = self.int_mode.expect("checked above");
             self.forward_int(x, spec, n, h, w, oh, ow)
         } else {
-            let requested = match self.conv_impl {
-                ConvImpl::Auto => env_conv_impl(),
-                pinned => pinned,
-            };
-            let fft_tile = if train || self.stride != 1 || self.kernel < 2 {
-                None
-            } else {
-                match requested {
-                    ConvImpl::Fft => self.fft_candidate(h, w, n).map(|(_, p)| p),
-                    ConvImpl::Im2col => None,
-                    ConvImpl::Auto => self.fft_auto_tile(h, w, oh, ow, n),
-                }
-            };
-            match fft_tile {
-                Some(p) => self.forward_fft(x, n, h, w, oh, ow, p),
-                None => self.forward_im2col(x, n, h, w, oh, ow),
-            }
+            self.forward_im2col(x, n, h, w, oh, ow)
         };
 
         self.cached_input = Some(input.clone());
@@ -831,62 +583,6 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fft_path_matches_im2col() {
-        let x = Tensor::from_vec(
-            vec![2, 3, 9, 9],
-            (0..486).map(|i| ((i as f32) * 0.171).sin()).collect(),
-        )
-        .unwrap();
-        let mut base = Conv2d::new(3, 4, 3, 11)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Im2col);
-        let mut freq = Conv2d::new(3, 4, 3, 11)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Fft);
-        let y_base = base.forward(&x, false).unwrap();
-        let y_freq = freq.forward(&x, false).unwrap();
-        assert_eq!(y_base.shape(), y_freq.shape());
-        for (a, b) in y_base.as_slice().iter().zip(y_freq.as_slice()) {
-            assert!((a - b).abs() < 2e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn fft_path_matches_im2col_without_padding_and_large_kernel() {
-        let x = Tensor::from_vec(
-            vec![1, 2, 12, 12],
-            (0..288).map(|i| ((i as f32) * 0.37).cos()).collect(),
-        )
-        .unwrap();
-        let mk = |imp| {
-            Conv2d::new(2, 3, 5, 23)
-                .unwrap()
-                .with_padding(0)
-                .with_conv_impl(imp)
-        };
-        let y_base = mk(ConvImpl::Im2col).forward(&x, false).unwrap();
-        let y_freq = mk(ConvImpl::Fft).forward(&x, false).unwrap();
-        for (a, b) in y_base.as_slice().iter().zip(y_freq.as_slice()) {
-            assert!((a - b).abs() < 2e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn forced_fft_on_strided_layer_falls_back_to_im2col() {
-        let x =
-            Tensor::from_vec(vec![1, 1, 8, 8], (0..64).map(|i| i as f32 * 0.05).collect()).unwrap();
-        let mut strided = Conv2d::new(1, 2, 3, 5)
-            .unwrap()
-            .with_stride(2)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Fft);
-        let mut plain = Conv2d::new(1, 2, 3, 5).unwrap().with_stride(2).unwrap();
-        let a = strided.forward(&x, false).unwrap();
-        let b = plain.forward(&x, false).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
 
     #[test]
     fn int_mode_approximates_float_forward() {

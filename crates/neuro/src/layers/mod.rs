@@ -7,7 +7,7 @@ mod norm;
 mod pool;
 mod residual;
 
-pub use conv::{Conv2d, ConvImpl};
+pub use conv::Conv2d;
 pub use global_pool::GlobalAvgPool2d;
 pub use linear::Linear;
 pub use norm::BatchNorm2d;

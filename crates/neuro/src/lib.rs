@@ -58,7 +58,6 @@
 
 mod data;
 mod error;
-pub mod fft;
 mod init;
 pub mod layers;
 pub mod linalg;

@@ -243,11 +243,9 @@ pub mod kernel_stats {
         Int,
         /// Convolution forward served by im2col + GEMM.
         Im2colConv,
-        /// Convolution forward served by the FFT overlap-add path.
-        FftConv,
     }
 
-    const CLASSES: [KernelClass; 9] = [
+    const CLASSES: [KernelClass; 8] = [
         KernelClass::Reference,
         KernelClass::Direct,
         KernelClass::Tiled,
@@ -256,7 +254,6 @@ pub mod kernel_stats {
         KernelClass::SimdParallel,
         KernelClass::Int,
         KernelClass::Im2colConv,
-        KernelClass::FftConv,
     ];
 
     impl KernelClass {
@@ -272,13 +269,11 @@ pub mod kernel_stats {
                 Self::SimdParallel => "simd_parallel",
                 Self::Int => "int",
                 Self::Im2colConv => "conv_im2col",
-                Self::FftConv => "conv_fft",
             }
         }
     }
 
-    static COUNTS: [AtomicU64; 9] = [
-        AtomicU64::new(0),
+    static COUNTS: [AtomicU64; 8] = [
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),

@@ -1,7 +1,7 @@
 //! Thread-local scratch-buffer arena.
 //!
 //! The hot paths (GEMM packing panels, conv's im2col/col2im buffers, the
-//! FFT convolution's spectra, the integer datapath's code buffers) need
+//! integer datapath's code buffers) need
 //! large temporary buffers on every call. Allocating them fresh per call
 //! costs a page-zeroing `memset` and allocator traffic per sample; this
 //! arena instead keeps one buffer per slot per thread and hands it out on
@@ -35,10 +35,6 @@ pub(crate) enum Slot {
     OutBlock,
     /// Conv backward gathered-`dY` staging buffer.
     YBlock,
-    /// FFT conv: padded input-tile spectrum workspace.
-    FftImage,
-    /// FFT conv: accumulated output-tile spectrum / inverse staging.
-    FftStage,
 }
 
 /// Named `i16` scratch buffers for the integer datapath.
@@ -92,7 +88,7 @@ macro_rules! typed_arena {
     };
 }
 
-typed_arena!(ARENA, f32, Slot, 8, with_buffer);
+typed_arena!(ARENA, f32, Slot, 6, with_buffer);
 typed_arena!(ARENA_I16, i16, SlotI16, 3, with_buffer_i16);
 typed_arena!(ARENA_I32, i32, SlotI32, 1, with_buffer_i32);
 

@@ -1,12 +1,10 @@
 //! Property tests for the GEMM kernel tiers: the packed kernels against
 //! the naive reference across odd/prime/tiny shapes, the explicit SIMD
 //! micro-kernel against the tiled engine, the integer datapath against a
-//! widened-accumulator reference (exact), the frequency-domain convolution
-//! against im2col, and bitwise thread-count stability of the layers built
-//! on top of them.
+//! widened-accumulator reference (exact), and bitwise thread-count
+//! stability of the layers built on top of them.
 
 use proptest::prelude::*;
-use safelight_neuro::layers::ConvImpl;
 use safelight_neuro::linalg::{int, reference};
 use safelight_neuro::{
     matmul, matmul_a_bt, matmul_at_b, matmul_with, Conv2d, GemmImpl, Layer, Linear, Tensor,
@@ -150,47 +148,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The frequency-domain convolution agrees with im2col across kernel
-    /// sizes, channel counts and image sizes (including ones where the
-    /// shape heuristic would never pick FFT on its own).
-    #[test]
-    fn fft_conv_matches_im2col(
-        hwi in 0usize..4,
-        ki in 0usize..2,
-        ic in 1usize..4,
-        oc in 1usize..5,
-        batch in 1usize..3,
-        salt in 0.0f32..10.0,
-    ) {
-        let hw = [7usize, 12, 17, 29][hwi];
-        let kernel = [3usize, 5][ki];
-        let x = Tensor::from_vec(
-            vec![batch, ic, hw, hw],
-            deterministic(batch * ic * hw * hw, salt),
-        )
-        .unwrap();
-        let mut base = Conv2d::new(ic, oc, kernel, 11)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Im2col);
-        let mut freq = Conv2d::new(ic, oc, kernel, 11)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Fft);
-        let y_base = base.forward(&x, false).unwrap();
-        let y_freq = freq.forward(&x, false).unwrap();
-        prop_assert_eq!(y_base.shape(), y_freq.shape());
-        for (i, (a, b)) in y_base.as_slice().iter().zip(y_freq.as_slice()).enumerate() {
-            prop_assert!(
-                (a - b).abs() <= 5e-4 * b.abs().max(1.0),
-                "fft vs im2col diverged at {} (hw {} k {} ic {}): {} vs {}",
-                i, hw, kernel, ic, a, b
-            );
-        }
-    }
-}
-
 /// Every available kernel tier is bitwise stable under row decomposition:
 /// computing `C` in one call agrees exactly with computing disjoint row
 /// blocks in separate calls. The batch-parallel layers split work exactly
@@ -231,25 +188,6 @@ fn kernel_tiers_are_bit_stable_under_row_decomposition() {
                 imp.name()
             );
         }
-    }
-}
-
-/// The FFT convolution path is bitwise identical across worker thread
-/// counts, same as the im2col path (covered below): the per-image work is
-/// independent and the batch decomposition is fixed.
-#[test]
-fn fft_conv_forward_is_bit_stable_across_thread_counts() {
-    let x = Tensor::from_vec(vec![6, 3, 15, 15], deterministic(6 * 3 * 15 * 15, 0.7)).unwrap();
-    let run = |threads: usize| {
-        let mut conv = Conv2d::new(3, 4, 5, 19)
-            .unwrap()
-            .with_conv_impl(ConvImpl::Fft)
-            .with_threads(threads);
-        conv.forward(&x, false).unwrap().as_slice().to_vec()
-    };
-    let baseline = run(1);
-    for threads in [2usize, 4] {
-        assert_eq!(baseline, run(threads), "fft forward diverged ({threads}t)");
     }
 }
 

@@ -17,8 +17,10 @@
 //!   trace artifact is byte-identical across worker-thread counts.
 //!   Wall-clock timings never enter the committed rendering.
 //! - [`metrics`] — a registry of counters, gauges and log-bucketed
-//!   histograms, snapshotted to Prometheus-style text exposition plus the
-//!   JSON/CSV emitter style used by `serve::report`.
+//!   histograms, snapshotted to Prometheus-style text exposition plus
+//!   JSON/CSV, and the workspace's one nearest-rank [`percentile`].
+//! - [`emit`] — the JSON/CSV value formatters every report emitter in
+//!   the workspace shares.
 //! - [`profile`] — gated scoped wall-clock timers aggregating per-phase
 //!   statistics (GEMM kernels by shape class, probe sweeps, detector
 //!   scoring, remap, batch phases). Disabled by default; when disabled a
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod alert;
+pub mod emit;
 pub mod log;
 pub mod metrics;
 pub mod profile;
@@ -42,9 +45,11 @@ pub use crate::alert::{
     default_rules, error_budget_burn, AlertEngine, AlertFiring, AlertKind, AlertRule, Cmp,
     SloInput, SloSpec, SloVerdict,
 };
+pub use crate::emit::{csv_num, json_num, json_str};
 pub use crate::log::{max_level, set_max_level, Level};
 pub use crate::metrics::{
-    labeled, Counter, Gauge, Histogram, HistogramConfig, MetricsRegistry, MetricsSnapshot,
+    labeled, percentile, Counter, Gauge, Histogram, HistogramConfig, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use crate::profile::{
     profile_enabled, profile_phases, profile_reset, profile_span, profile_span_class, render_table,

@@ -9,18 +9,33 @@
 //!
 //! A [`MetricsRegistry`] hands out `Arc` handles keyed by name (hold the
 //! handle; the hot path is then a single atomic op). Snapshots render to
-//! Prometheus-style text exposition plus JSON/CSV in the same hand-rolled
-//! emitter style as `serve::report`.
+//! Prometheus-style text exposition plus JSON/CSV through the shared
+//! [`crate::emit`] formatters.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::emit::{csv_num, json_num, json_str};
 
 /// Largest number of observations a [`Histogram`] keeps as exact samples.
 /// At or below this count `percentile` answers exactly (nearest rank over
 /// the sorted reservoir); beyond it the reservoir spills and estimates
 /// fall back to bucket upper bounds, exact to within one bucket width.
 pub const EXACT_SAMPLE_CAP: usize = 1024;
+
+/// Nearest-rank percentile of an ascending-sorted sample: the smallest
+/// value with at least `q` of the sample at or below it. `q` is a
+/// fraction in `(0, 1]`; an empty sample yields NaN.
+#[must_use]
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
 
 /// Monotonic counter.
 #[derive(Debug, Default)]
@@ -125,8 +140,8 @@ impl HistogramConfig {
 /// streams SLO verdicts depend on). Past the cap — or on any non-finite
 /// observation — the reservoir spills and estimates fall back to bucket
 /// upper bounds, exact to within one bucket width of the nearest-rank
-/// percentile (tested against `serve::scheduler::percentile`). Whether
-/// the reservoir spills depends only on the total observation count and
+/// percentile (tested against [`percentile`]). Whether the reservoir
+/// spills depends only on the total observation count and
 /// finiteness, never on thread interleaving, and the retained multiset
 /// is order-independent, so percentiles stay deterministic artifacts.
 /// Merging adds bucket counts, which is associative and commutative;
@@ -239,12 +254,12 @@ impl Histogram {
 
     /// Nearest-rank percentile for `q` in `(0, 1]`. While the exact
     /// reservoir holds (≤ [`EXACT_SAMPLE_CAP`] finite samples) this is
-    /// the rank-`⌈q·n⌉` sample itself — exact, matching
-    /// `scheduler::percentile`. After a spill it is the upper bound of
-    /// the bucket holding that rank (the recorded max for the overflow
-    /// bucket, so the estimate never exceeds it).
+    /// the rank-`⌈q·n⌉` sample itself, via [`percentile`]. After a spill
+    /// it is the upper bound of the bucket holding that rank (the
+    /// recorded max for the overflow bucket, so the estimate never
+    /// exceeds it).
     ///
-    /// NaN on an empty histogram, matching `scheduler::percentile`.
+    /// NaN on an empty histogram.
     pub fn percentile(&self, q: f64) -> f64 {
         if !self.spilled.load(Ordering::Relaxed) {
             let s = self.samples.lock().unwrap_or_else(|e| e.into_inner());
@@ -254,9 +269,7 @@ impl Histogram {
                 }
                 let mut sorted = s.clone();
                 sorted.sort_by(f64::total_cmp);
-                let n = sorted.len();
-                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-                return sorted[rank - 1];
+                return percentile(&sorted, q);
             }
         }
         let counts = self.bucket_counts();
@@ -503,24 +516,6 @@ fn prom_num(v: f64) -> String {
     }
 }
 
-/// JSON number, `null` when non-finite (matches `safelight::eval` style).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// CSV field, empty when non-finite (matches `serve::report` style).
-fn csv_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::new()
-    }
-}
-
 /// Split `name{labels}` into (base, labels-with-braces-stripped).
 pub(crate) fn split_labels(name: &str) -> (&str, Option<&str>) {
     match name.split_once('{') {
@@ -631,7 +626,7 @@ impl MetricsSnapshot {
                     )
                 }
             };
-            parts.push(format!("{}:{body}", json_string(name)));
+            parts.push(format!("{}:{body}", json_str(name)));
         }
         format!("{{{}}}\n", parts.join(","))
     }
@@ -688,22 +683,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Minimal JSON string escaping (names are ASCII identifiers + labels).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -772,7 +751,7 @@ mod tests {
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            // Exact nearest-rank percentile (scheduler::percentile's rule).
+            // Exact nearest-rank percentile, computed independently.
             let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
             let exact = sorted[rank - 1];
             let est = h.percentile(q);
@@ -893,6 +872,16 @@ mod tests {
     }
 
     #[test]
+    fn percentile_is_nearest_rank() {
+        let sample = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sample, 0.5), 2.0);
+        assert_eq!(percentile(&sample, 0.99), 4.0);
+        assert_eq!(percentile(&sample, 0.25), 1.0);
+        assert_eq!(percentile(&[7.0], 0.999), 7.0);
+        assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
     fn percentile_is_exact_below_reservoir_cap() {
         let samples = tick_samples(500);
         let h = Histogram::new(HistogramConfig::latency_ticks());
@@ -984,7 +973,7 @@ mod tests {
 
         let json = snap.json();
         assert_eq!(json.lines().count(), 1, "json stays one line");
-        assert!(json.contains(&json_string(&name)));
+        assert!(json.contains(&json_str(&name)));
 
         let csv = snap.csv();
         let quoted = csv

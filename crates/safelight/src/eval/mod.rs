@@ -14,8 +14,8 @@ pub use detection::{
 pub use mitigation::{run_mitigation, MitigationReport, VariantOutcome};
 pub use recovery::{run_recovery, RecoveryInterval, RecoveryReport};
 pub use report::{
-    detection_json, detection_roc_csv, detection_summary_csv, json_num, json_str, mitigation_csv,
-    mitigation_json, recovery_csv, recovery_json, susceptibility_csv, susceptibility_json,
+    detection_json, detection_roc_csv, detection_summary_csv, mitigation_csv, mitigation_json,
+    recovery_csv, recovery_json, susceptibility_csv, susceptibility_json,
 };
 pub use susceptibility::{
     evaluate_with_conditions, inject_all, run_susceptibility, InjectedScenario,

@@ -3,6 +3,8 @@
 //! JSON emitters back `repro --json`, so downstream tooling reads
 //! structured results instead of scraping tables.
 
+use safelight_obs::{json_num, json_str};
+
 use crate::eval::{DetectionReport, MitigationReport, RecoveryReport, SusceptibilityReport};
 
 /// Renders a Fig. 7 susceptibility report as CSV:
@@ -141,39 +143,6 @@ pub fn detection_summary_csv(report: &DetectionReport) -> String {
         ));
     }
     out
-}
-
-/// Escapes a string for a JSON literal.
-///
-/// Public (alongside [`json_num`]) so every hand-rolled JSON emitter in
-/// the workspace — including the serving report in `safelight-serve` —
-/// shares one escaping discipline instead of drifting copies.
-#[must_use]
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number literal (`null` for non-finite values, which JSON cannot
-/// represent). See [`json_str`] for why this is public.
-#[must_use]
-pub fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Joins rendered JSON values into an array literal.
@@ -454,6 +423,8 @@ mod tests {
     #[test]
     fn json_strings_escape_special_characters() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("a\rb\tc"), "\"a\\rb\\tc\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
         assert_eq!(json_num(f64::INFINITY), "null");
     }
 

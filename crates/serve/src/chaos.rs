@@ -27,24 +27,20 @@
 //! batch)`, so the report and its CSV/JSON renderings are bitwise
 //! independent of the worker-thread count.
 
-use std::sync::Arc;
-
 use safelight::attack::{AttackTarget, ScenarioSpec, Selection, VectorSpec};
 use safelight::detect::Detector;
-use safelight::eval::{inject_all, InjectedScenario};
 use safelight::experiment::{workbench, ExperimentOptions, ModelWorkbench};
-use safelight::fault::{inject_fault, FaultSpec, FaultVector};
+use safelight::fault::{FaultSpec, FaultVector};
 use safelight::models::ModelKind;
 use safelight::SafelightError;
-use safelight_neuro::parallel::par_map;
 use safelight_neuro::{Dataset, Network};
-use safelight_obs::{MetricsRegistry, SloInput, SloSpec, SloVerdict};
-use safelight_onn::{BlockKind, InferenceBackend, SensorChannel, SentinelPlan, WeightMapping};
+use safelight_obs::{percentile, SloInput, SloSpec, SloVerdict};
+use safelight_onn::{InferenceBackend, SensorChannel, WeightMapping};
 
-use crate::eval::{build_fleet, calibrate, request_stream, spec_stream_key, ServingOptions};
-use crate::observe::{ObsArtifacts, ServeObserver};
-use crate::runtime::{fold, Compromise, MemberFault, ResponseAction, StreamOutcome};
-use crate::scheduler::{percentile, ArrivalModel};
+use crate::eval::{run_cases, spec_stream_key, Case, ServingOptions};
+use crate::observe::ObsArtifacts;
+use crate::runtime::{fold, ResponseAction, StreamOutcome};
+use crate::scheduler::ArrivalModel;
 
 /// One cell of the chaos grid: an optional benign fault and an optional
 /// trojan scenario, both landing on member 0 of the fleet.
@@ -410,8 +406,8 @@ fn summarize_chaos(
 /// # Errors
 ///
 /// Rejects degenerate options (zero batches/batch size, onset beyond the
-/// stream, empty fleet) and propagates injection, derivation and
-/// forward-pass errors.
+/// stream, empty fleet, invalid arrival rate) and propagates injection,
+/// derivation and forward-pass errors.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos<D: Dataset + Sync + ?Sized>(
     network: &Network,
@@ -431,7 +427,8 @@ pub fn run_chaos<D: Dataset + Sync + ?Sized>(
 }
 
 /// [`run_chaos`] with the observability plane attached when `observe` is
-/// true: each grid case runs under its own [`ServeObserver`] (scoped
+/// true: each grid case runs under its own
+/// [`ServeObserver`](crate::observe::ServeObserver) (scoped
 /// `case="NN"` metric labels, private tracer), and the returned
 /// [`ObsArtifacts`] concatenate the per-case committed traces in
 /// input-case order — byte-identical across worker-thread counts — plus
@@ -456,172 +453,44 @@ pub fn run_chaos_observed<D: Dataset + Sync + ?Sized>(
     threads: usize,
     observe: bool,
 ) -> Result<(ChaosReport, Option<ObsArtifacts>), SafelightError> {
-    if opts.batches == 0 || opts.batch_size == 0 || opts.onset_batch >= opts.batches as u64 {
-        return Err(SafelightError::InvalidParameter {
-            name: "batches/onset",
-            value: opts.batches as f64,
-        });
-    }
-    if opts.fleet_size == 0 {
-        return Err(SafelightError::InvalidParameter {
-            name: "fleet size",
-            value: 0.0,
-        });
-    }
-    if !opts.arrival.is_valid() {
-        return Err(SafelightError::InvalidParameter {
-            name: "arrival rate",
-            value: opts.arrival.rate(),
-        });
-    }
-    let parts = calibrate(network, mapping, backend, detectors, opts, seed)?;
-    let (requests, labels) = request_stream(data, opts, seed)?;
-    let capacity = opts.effective_queue_capacity();
-
-    let clean_accuracy = {
-        let mut fleet = build_fleet(network, mapping, backend, &parts, opts, false)?;
-        let out = fleet.serve_queue(
-            &requests,
-            opts.batch_size,
-            capacity,
-            None,
-            None,
-            fold(seed, 0xC1EA),
-            threads,
-        )?;
-        out.accuracy_in(0..u64::MAX, &labels)
-    };
-
-    // Fault plans index sentinel readbacks by slot, so injection needs the
-    // per-block sentinel population of the provisioning the members use.
-    let sentinel_counts = {
-        let plan = SentinelPlan::new(
-            mapping,
-            backend.config(),
-            opts.sentinels_per_block,
-            opts.sentinel_magnitude,
-        );
-        (
-            plan.sites(BlockKind::Conv).len(),
-            plan.sites(BlockKind::Fc).len(),
-        )
-    };
-
-    // Trojan conditions are injected once up front (salience derivation is
-    // the expensive part); each case then references its entry by slot.
-    let mut specs: Vec<ScenarioSpec> = Vec::new();
-    let slots: Vec<Option<usize>> = cases
+    let driven: Vec<Case<'_>> = cases
         .iter()
-        .map(|c| {
-            c.scenario.as_ref().map(|s| {
-                specs.push(s.clone());
-                specs.len() - 1
-            })
+        .enumerate()
+        .map(|(idx, case)| Case {
+            scenario: case.scenario.as_ref(),
+            fault: case.fault.as_ref(),
+            stream_key: case_stream_key(case),
+            scope: ("case", format!("{idx:02}")),
+            header: format!(
+                "case={idx:02} kind={} fault={} scenario={} trojan_onset={}",
+                case.kind(),
+                case.fault
+                    .as_ref()
+                    .map(FaultSpec::to_spec_string)
+                    .unwrap_or_default(),
+                case.scenario
+                    .as_ref()
+                    .map(ScenarioSpec::to_spec_string)
+                    .unwrap_or_default(),
+                opts.onset_batch,
+            ),
+            baseline: false,
         })
         .collect();
-    let needs_salience = specs.iter().any(|s| s.selection == Selection::Targeted);
-    let salience = if needs_salience {
-        Some(safelight::attack::RingSalience::from_network(
-            network,
-            mapping,
-            backend.config(),
-        )?)
-    } else {
-        None
-    };
-    let injected = inject_all(backend.config(), &specs, salience.as_ref(), seed, threads)?;
-
-    let items: Vec<(usize, &ChaosCase, Option<&InjectedScenario>)> = cases
-        .iter()
-        .zip(&slots)
-        .enumerate()
-        .map(|(i, (c, slot))| (i, c, slot.map(|s| &injected[s])))
-        .collect();
-    // One shared registry; each case's observer namespaces its series
-    // with a `case` label, so every series has a single (serial) writer
-    // and the merged snapshot is thread-count independent.
-    let registry = observe.then(|| Arc::new(MetricsRegistry::new()));
-    type ObservedRow = (ChaosRow, Option<(String, String)>);
-    let rows: Vec<Result<ObservedRow, SafelightError>> =
-        par_map(items, threads, |(idx, case, entry)| {
-            let stream_seed = fold(seed, case_stream_key(case));
-            let plan = case
-                .fault
-                .as_ref()
-                .map(|spec| inject_fault(spec, backend.config(), sentinel_counts, seed))
-                .transpose()?;
-            let compromise = entry.map(|e| Compromise {
-                member: 0,
-                onset_batch: opts.onset_batch,
-                conditions: &e.conditions,
-            });
-            let fault = plan.as_ref().map(|p| MemberFault { member: 0, plan: p });
-            let mut fleet = build_fleet(network, mapping, backend, &parts, opts, true)?;
-            let observer = registry.as_ref().map(|reg| {
-                Arc::new(ServeObserver::with_scope_slo(
-                    reg.clone(),
-                    &[("case", &format!("{idx:02}"))],
-                    opts.slo.as_ref(),
-                ))
-            });
-            fleet.set_observer(observer.clone());
-            let out = fleet.serve_queue(
-                &requests,
-                opts.batch_size,
-                capacity,
-                compromise,
-                fault,
-                stream_seed,
-                threads,
-            )?;
-            // Scoped to this case's series: deterministic even while
-            // sibling cases are still writing theirs.
-            if let Some(o) = &observer {
-                o.evaluate_alerts();
-            }
-            let sections = observer.as_ref().map(|o| {
-                o.drain(&[format!(
-                    "case={idx:02} kind={} fault={} scenario={} trojan_onset={}",
-                    case.kind(),
-                    case.fault
-                        .as_ref()
-                        .map(FaultSpec::to_spec_string)
-                        .unwrap_or_default(),
-                    case.scenario
-                        .as_ref()
-                        .map(ScenarioSpec::to_spec_string)
-                        .unwrap_or_default(),
-                    opts.onset_batch,
-                )])
-            });
-            Ok((summarize_chaos(case, &out, &labels, opts), sections))
-        });
-    let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
-    // Per-case trace sections concatenate in input-case order — par_map
-    // returns results in task order, so the artifact is independent of
-    // which worker ran which case.
-    let artifacts = registry.map(|reg| {
-        let mut trace = String::new();
-        let mut profile = String::new();
-        for (_, sections) in &rows {
-            if let Some((committed, wall)) = sections {
-                trace.push_str(committed);
-                profile.push_str(wall);
-            }
-        }
-        let incidents = opts
-            .slo
-            .as_ref()
-            .map(|s| crate::incident::incidents_from_trace(&trace, s))
-            .unwrap_or_default();
-        ObsArtifacts {
-            trace,
-            profile,
-            metrics: reg.snapshot(),
-            incidents,
-        }
-    });
-    let rows: Vec<ChaosRow> = rows.into_iter().map(|(row, _)| row).collect();
+    let runs = run_cases(
+        network,
+        mapping,
+        backend,
+        data,
+        &driven,
+        detectors,
+        opts,
+        seed,
+        threads,
+        observe,
+        |idx, out, labels| summarize_chaos(&cases[idx], &out.with_response, labels, opts),
+    )?;
+    let rows = runs.rows;
 
     let rate = |num: usize, den: usize| {
         if den == 0 {
@@ -658,9 +527,9 @@ pub fn run_chaos_observed<D: Dataset + Sync + ?Sized>(
 
     Ok((
         ChaosReport {
-            detectors: parts.names,
-            thresholds: parts.thresholds,
-            clean_accuracy,
+            detectors: runs.parts.names,
+            thresholds: runs.parts.thresholds,
+            clean_accuracy: runs.clean_accuracy,
             batches: opts.batches,
             batch_size: opts.batch_size,
             fleet_size: opts.fleet_size,
@@ -672,7 +541,7 @@ pub fn run_chaos_observed<D: Dataset + Sync + ?Sized>(
             overlap_missed_rate: rate(missed, overlap_rows),
             mean_crash_recovery_batches: mean_recovery,
         },
-        artifacts,
+        runs.artifacts,
     ))
 }
 
@@ -680,29 +549,15 @@ pub fn run_chaos_observed<D: Dataset + Sync + ?Sized>(
 /// model through the shared [`workbench`], builds the canonical
 /// [`chaos_grid`] at the fidelity's onset batch and evaluates the
 /// fault-tolerant runtime over it, with the streams replayed through
-/// `arrival` ([`ArrivalModel::Closed`] = the pre-request-plane loop).
+/// `arrival` ([`ArrivalModel::Closed`] = the pre-request-plane loop). The
+/// observability plane is attached when `observe` is true (see
+/// [`run_chaos_observed`]), and an optional SLO spec judges every case
+/// (verdict columns, alert firings, incident reconstruction).
 ///
 /// # Errors
 ///
 /// Propagates workbench and chaos-evaluation errors.
 pub fn run_chaos_experiment(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-    arrival: ArrivalModel,
-) -> Result<(ModelWorkbench, ChaosReport), SafelightError> {
-    run_chaos_experiment_observed(kind, opts, arrival, false, None)
-        .map(|(bench, report, _)| (bench, report))
-}
-
-/// [`run_chaos_experiment`] with the observability plane attached when
-/// `observe` is true (see [`run_chaos_observed`]) and an optional SLO
-/// spec judging every case (verdict columns, alert firings, incident
-/// reconstruction).
-///
-/// # Errors
-///
-/// Propagates workbench and chaos-evaluation errors.
-pub fn run_chaos_experiment_observed(
     kind: ModelKind,
     opts: &ExperimentOptions,
     arrival: ArrivalModel,

@@ -24,25 +24,26 @@
 
 use std::sync::Arc;
 
-use safelight::attack::ScenarioSpec;
+use safelight::attack::{RingSalience, ScenarioSpec, Selection};
 use safelight::detect::{Detector, GuardBandDetector};
 use safelight::eval::{inject_all, InjectedScenario};
 use safelight::experiment::{workbench, ExperimentOptions, Fidelity, ModelWorkbench};
+use safelight::fault::{inject_fault, FaultSpec};
 use safelight::models::ModelKind;
 use safelight::SafelightError;
 use safelight_neuro::parallel::par_map;
 use safelight_neuro::{Dataset, Network};
-use safelight_obs::{MetricsRegistry, SloInput, SloSpec, SloVerdict};
+use safelight_obs::{percentile, MetricsRegistry, SloInput, SloSpec, SloVerdict};
 use safelight_onn::{
-    ConditionMap, InferenceBackend, SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe,
-    WeightMapping,
+    BlockKind, ConditionMap, InferenceBackend, SentinelPlan, TapConfig, TelemetryFrame,
+    TelemetryProbe, WeightMapping,
 };
 
 use crate::observe::{ObsArtifacts, ServeObserver};
 use crate::runtime::{
-    fold, Compromise, Fleet, FleetMember, PolicyConfig, ResponseAction, StreamOutcome,
+    fold, Compromise, Fleet, FleetMember, MemberFault, PolicyConfig, ResponseAction, StreamOutcome,
 };
-use crate::scheduler::{percentile, ArrivalModel, Request};
+use crate::scheduler::{ArrivalModel, Request};
 
 /// Tuning knobs of the serving evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -413,16 +414,16 @@ pub(crate) fn spec_stream_key(spec: &ScenarioSpec) -> u64 {
     h
 }
 
-/// Slices the stream outcome of one scenario into the report row.
-/// `labels` is the eval-side answer key, indexed by request id.
-fn summarize(
-    entry: &InjectedScenario,
-    compromised_member: usize,
-    with_response: &StreamOutcome,
-    baseline: &StreamOutcome,
-    labels: &[usize],
-    opts: &ServingOptions,
-) -> ScenarioServing {
+/// Slices the streams of one scenario into the report row. `labels` is
+/// the eval-side answer key, indexed by request id.
+fn summarize(out: &CaseOutcome<'_>, labels: &[usize], opts: &ServingOptions) -> ScenarioServing {
+    let entry = out.injected.expect("serving cases carry a scenario");
+    let with_response = &out.with_response;
+    let baseline = out
+        .baseline
+        .as_ref()
+        .expect("serving cases run the baseline");
+    let compromised_member = 0usize;
     let onset = opts.onset_batch;
     // Continuous batching can form more (smaller) batches than the
     // closed loop's `opts.batches`, so "stream end" is open-ended; at
@@ -530,7 +531,8 @@ fn summarize(
 /// # Errors
 ///
 /// Rejects degenerate options (zero batches/batch size, onset beyond the
-/// stream) and propagates injection, derivation and forward-pass errors.
+/// stream, empty fleet, invalid arrival rate) and propagates injection,
+/// derivation and forward-pass errors.
 #[allow(clippy::too_many_arguments)]
 pub fn run_serving<D: Dataset + Sync + ?Sized>(
     network: &Network,
@@ -573,6 +575,119 @@ pub fn run_serving_observed<D: Dataset + Sync + ?Sized>(
     threads: usize,
     observe: bool,
 ) -> Result<(ServingReport, Option<ObsArtifacts>), SafelightError> {
+    let cases: Vec<Case<'_>> = scenarios
+        .iter()
+        .map(|s| {
+            let spec = s.to_spec_string();
+            Case {
+                scenario: Some(s),
+                fault: None,
+                stream_key: spec_stream_key(s),
+                header: format!(
+                    "scenario={spec} onset={} arrival={:?}",
+                    opts.onset_batch, opts.arrival
+                ),
+                scope: ("scenario", spec),
+                baseline: true,
+            }
+        })
+        .collect();
+    let runs = run_cases(
+        network,
+        mapping,
+        backend,
+        data,
+        &cases,
+        detectors,
+        opts,
+        seed,
+        threads,
+        observe,
+        |_, out, labels| summarize(&out, labels, opts),
+    )?;
+    Ok((
+        ServingReport {
+            detectors: runs.parts.names,
+            thresholds: runs.parts.thresholds,
+            clean_accuracy: runs.clean_accuracy,
+            batches: opts.batches,
+            batch_size: opts.batch_size,
+            fleet_size: opts.fleet_size,
+            onset_batch: opts.onset_batch,
+            arrival: opts.arrival,
+            rows: runs.rows,
+        },
+        runs.artifacts,
+    ))
+}
+
+/// One stream the case driver replays on a fresh responding fleet: what
+/// lands on member 0 and how its observed run is labelled.
+pub(crate) struct Case<'a> {
+    /// The trojan scenario, compromising member 0 at the onset batch.
+    pub(crate) scenario: Option<&'a ScenarioSpec>,
+    /// The benign fault, armed on member 0 at its own onset.
+    pub(crate) fault: Option<&'a FaultSpec>,
+    /// Folded into the seed to give the case its own noise stream.
+    pub(crate) stream_key: u64,
+    /// The metric label scoping the case's observer series.
+    pub(crate) scope: (&'static str, String),
+    /// The header line of the case's committed trace section.
+    pub(crate) header: String,
+    /// Whether the stream is also replayed on a no-response baseline
+    /// fleet.
+    pub(crate) baseline: bool,
+}
+
+/// The streams of one replayed [`Case`].
+pub(crate) struct CaseOutcome<'a> {
+    /// The injected trojan conditions, when the case carries a scenario.
+    pub(crate) injected: Option<&'a InjectedScenario>,
+    /// The closed-loop run, response policy live.
+    pub(crate) with_response: StreamOutcome,
+    /// The no-response baseline run, when the case asked for one.
+    pub(crate) baseline: Option<StreamOutcome>,
+}
+
+/// What [`run_cases`] returns: one summarized row per case, in input
+/// order, plus what every case shared.
+pub(crate) struct CaseRuns<R> {
+    pub(crate) parts: CalibratedParts,
+    pub(crate) clean_accuracy: f64,
+    pub(crate) rows: Vec<R>,
+    pub(crate) artifacts: Option<ObsArtifacts>,
+}
+
+/// The case driver behind the serving and chaos evaluations: validates
+/// the options, calibrates once, builds the shared request stream,
+/// measures the clean fleet, injects every case's trojan up front, then
+/// replays each case on its own responding fleet (and a no-response
+/// baseline fleet when the case asks) and hands the streams, the case's
+/// input index and the answer key to `summarize`.
+///
+/// With `observe`, each responding run carries its own [`ServeObserver`]
+/// scoped by [`Case::scope`]; the committed trace sections concatenate
+/// in input order, so artifacts and rows alike are byte-identical across
+/// worker-thread counts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_cases<D, R, F>(
+    network: &Network,
+    mapping: &WeightMapping,
+    backend: &dyn InferenceBackend,
+    data: &D,
+    cases: &[Case<'_>],
+    detectors: &[Box<dyn Detector>],
+    opts: &ServingOptions,
+    seed: u64,
+    threads: usize,
+    observe: bool,
+    summarize: F,
+) -> Result<CaseRuns<R>, SafelightError>
+where
+    D: Dataset + Sync + ?Sized,
+    R: Send,
+    F: Fn(usize, CaseOutcome<'_>, &[usize]) -> R + Sync,
+{
     if opts.batches == 0 || opts.batch_size == 0 || opts.onset_batch >= opts.batches as u64 {
         return Err(SafelightError::InvalidParameter {
             name: "batches/onset",
@@ -613,11 +728,27 @@ pub fn run_serving_observed<D: Dataset + Sync + ?Sized>(
         out.accuracy_in(0..u64::MAX, &labels)
     };
 
-    let needs_salience = scenarios
-        .iter()
-        .any(|s| s.selection == safelight::attack::Selection::Targeted);
-    let salience = if needs_salience {
-        Some(safelight::attack::RingSalience::from_network(
+    // Fault plans index sentinel readbacks by slot, so injection needs the
+    // per-block sentinel population of the provisioning the members use.
+    let sentinel_counts = {
+        let plan = SentinelPlan::new(
+            mapping,
+            backend.config(),
+            opts.sentinels_per_block,
+            opts.sentinel_magnitude,
+        );
+        (
+            plan.sites(BlockKind::Conv).len(),
+            plan.sites(BlockKind::Fc).len(),
+        )
+    };
+
+    // Trojan conditions are injected once up front (salience derivation is
+    // the expensive part, and only targeted specs need it); each case then
+    // references its entry by slot.
+    let specs: Vec<ScenarioSpec> = cases.iter().filter_map(|c| c.scenario.cloned()).collect();
+    let salience = if specs.iter().any(|s| s.selection == Selection::Targeted) {
+        Some(RingSalience::from_network(
             network,
             mapping,
             backend.config(),
@@ -625,86 +756,87 @@ pub fn run_serving_observed<D: Dataset + Sync + ?Sized>(
     } else {
         None
     };
-    let injected = inject_all(
-        backend.config(),
-        scenarios,
-        salience.as_ref(),
-        seed,
-        threads,
-    )?;
-    // The compromise always lands on member 0; summarize() filters the
-    // policy events down to that member so a false alarm on a healthy
-    // peer never masquerades as the attack's detection.
-    let compromise_member = 0usize;
-    // One shared registry; each scenario's observer namespaces its series
-    // with a `scenario` label, so every series has a single (serial)
-    // writer and the merged snapshot is thread-count independent.
+    let injected = inject_all(backend.config(), &specs, salience.as_ref(), seed, threads)?;
+    let mut slots = injected.iter();
+    let items: Vec<(usize, &Case<'_>, Option<&InjectedScenario>)> = cases
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (i, c, c.scenario.and_then(|_| slots.next())))
+        .collect();
+
+    // One shared registry; each case's observer namespaces its series
+    // with its scope label, so every series has a single (serial) writer
+    // and the merged snapshot is thread-count independent.
     let registry = observe.then(|| Arc::new(MetricsRegistry::new()));
-    type ObservedRow = (ScenarioServing, Option<(String, String)>);
-    let rows: Vec<Result<ObservedRow, SafelightError>> = par_map(injected, threads, |entry| {
-        let stream_seed = fold(seed, spec_stream_key(&entry.scenario));
-        let compromise = Compromise {
-            member: compromise_member,
-            onset_batch: opts.onset_batch,
-            conditions: &entry.conditions,
-        };
-        let mut fleet = build_fleet(network, mapping, backend, &parts, opts, true)?;
-        let spec = entry.scenario.to_spec_string();
-        let observer = registry.as_ref().map(|reg| {
-            Arc::new(ServeObserver::with_scope_slo(
-                reg.clone(),
-                &[("scenario", &spec)],
-                opts.slo.as_ref(),
-            ))
+    type ObservedRow<R> = (R, Option<(String, String)>);
+    let rows: Vec<Result<ObservedRow<R>, SafelightError>> =
+        par_map(items, threads, |(idx, case, entry)| {
+            let stream_seed = fold(seed, case.stream_key);
+            let plan = case
+                .fault
+                .map(|spec| inject_fault(spec, backend.config(), sentinel_counts, seed))
+                .transpose()?;
+            // Both the compromise and the fault always land on member 0;
+            // the summaries filter policy events down to that member, so a
+            // false alarm on a healthy peer never masquerades as detection.
+            let compromise = entry.map(|e| Compromise {
+                member: 0,
+                onset_batch: opts.onset_batch,
+                conditions: &e.conditions,
+            });
+            let fault = plan.as_ref().map(|p| MemberFault { member: 0, plan: p });
+            let mut fleet = build_fleet(network, mapping, backend, &parts, opts, true)?;
+            let observer = registry.as_ref().map(|reg| {
+                Arc::new(ServeObserver::with_scope_slo(
+                    reg.clone(),
+                    &[(case.scope.0, &case.scope.1)],
+                    opts.slo.as_ref(),
+                ))
+            });
+            fleet.set_observer(observer.clone());
+            let with_response = fleet.serve_queue(
+                &requests,
+                opts.batch_size,
+                capacity,
+                compromise.clone(),
+                fault.clone(),
+                stream_seed,
+                threads,
+            )?;
+            // Alert evaluation reads only this observer's scoped series, so
+            // running it while sibling cases still write their own series
+            // stays deterministic.
+            if let Some(o) = &observer {
+                o.evaluate_alerts();
+            }
+            let sections = observer
+                .as_ref()
+                .map(|o| o.drain(std::slice::from_ref(&case.header)));
+            let baseline = if case.baseline {
+                let mut fleet = build_fleet(network, mapping, backend, &parts, opts, false)?;
+                Some(fleet.serve_queue(
+                    &requests,
+                    opts.batch_size,
+                    capacity,
+                    compromise,
+                    fault,
+                    stream_seed,
+                    threads,
+                )?)
+            } else {
+                None
+            };
+            let outcome = CaseOutcome {
+                injected: entry,
+                with_response,
+                baseline,
+            };
+            Ok((summarize(idx, outcome, &labels), sections))
         });
-        fleet.set_observer(observer.clone());
-        let with_response = fleet.serve_queue(
-            &requests,
-            opts.batch_size,
-            capacity,
-            Some(compromise.clone()),
-            None,
-            stream_seed,
-            threads,
-        )?;
-        // Alert evaluation reads only this observer's scoped series, so
-        // running it mid-experiment (while sibling scenarios still write
-        // their own series) stays deterministic.
-        if let Some(o) = &observer {
-            o.evaluate_alerts();
-        }
-        let sections = observer.as_ref().map(|o| {
-            o.drain(&[format!(
-                "scenario={spec} onset={} arrival={:?}",
-                opts.onset_batch, opts.arrival
-            )])
-        });
-        let mut base_fleet = build_fleet(network, mapping, backend, &parts, opts, false)?;
-        let baseline = base_fleet.serve_queue(
-            &requests,
-            opts.batch_size,
-            capacity,
-            Some(compromise),
-            None,
-            stream_seed,
-            threads,
-        )?;
-        Ok((
-            summarize(
-                &entry,
-                compromise_member,
-                &with_response,
-                &baseline,
-                &labels,
-                opts,
-            ),
-            sections,
-        ))
-    });
     let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
-    // Per-scenario trace sections concatenate in input-scenario order —
-    // par_map returns results in task order, so the artifact is
-    // independent of which worker ran which scenario.
+    // Per-case trace sections concatenate in input order — par_map
+    // returns results in task order, so the artifact is independent of
+    // which worker ran which case.
     let artifacts = registry.map(|reg| {
         let mut trace = String::new();
         let mut profile = String::new();
@@ -726,22 +858,12 @@ pub fn run_serving_observed<D: Dataset + Sync + ?Sized>(
             incidents,
         }
     });
-    let rows = rows.into_iter().map(|(row, _)| row).collect();
-
-    Ok((
-        ServingReport {
-            detectors: parts.names,
-            thresholds: parts.thresholds,
-            clean_accuracy,
-            batches: opts.batches,
-            batch_size: opts.batch_size,
-            fleet_size: opts.fleet_size,
-            onset_batch: opts.onset_batch,
-            arrival: opts.arrival,
-            rows,
-        },
+    Ok(CaseRuns {
+        parts,
+        clean_accuracy,
+        rows: rows.into_iter().map(|(row, _)| row).collect(),
         artifacts,
-    ))
+    })
 }
 
 /// One operating point of the throughput-vs-latency sweep.
@@ -892,29 +1014,15 @@ pub fn run_rate_sweep<D: Dataset + Sync + ?Sized>(
 /// serving loop replays each scenario against a full stream already) and
 /// evaluates the closed-loop runtime over it, with the stream replayed
 /// through `arrival` (pass [`ArrivalModel::Closed`] for the
-/// pre-request-plane behaviour).
-///
-/// # Errors
-///
-/// Propagates workbench and serving-evaluation errors.
-pub fn run_serving_experiment(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-    arrival: ArrivalModel,
-) -> Result<(ModelWorkbench, ServingReport), SafelightError> {
-    run_serving_experiment_observed(kind, opts, arrival, false, None)
-        .map(|(bench, report, _)| (bench, report))
-}
-
-/// [`run_serving_experiment`] with the observability plane attached when
-/// `observe` is true (see [`run_serving_observed`]) and an optional SLO
-/// spec judging every row (verdict columns, alert firings, incident
+/// pre-request-plane behaviour). The observability plane is attached when
+/// `observe` is true (see [`run_serving_observed`]), and an optional SLO
+/// spec judges every row (verdict columns, alert firings, incident
 /// reconstruction).
 ///
 /// # Errors
 ///
 /// Propagates workbench and serving-evaluation errors.
-pub fn run_serving_experiment_observed(
+pub fn run_serving_experiment(
     kind: ModelKind,
     opts: &ExperimentOptions,
     arrival: ArrivalModel,

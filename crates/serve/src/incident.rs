@@ -30,7 +30,7 @@
 //! correct reading of the physics. This mirrors the grid's exclusion of
 //! the drifting drop-current sensor (see [`crate::chaos`]).
 
-use safelight_obs::SloSpec;
+use safelight_obs::{json_num, json_str, SloSpec};
 
 /// A root-cause class the discrimination policy can settle on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -521,32 +521,6 @@ pub fn incidents_txt(incidents: &[IncidentReport]) -> String {
         ));
     }
     out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn json_milestone(m: &Option<Milestone>) -> String {

@@ -115,13 +115,13 @@ pub mod runtime;
 pub mod scheduler;
 
 pub use chaos::{
-    chaos_grid, run_chaos, run_chaos_experiment, run_chaos_experiment_observed, run_chaos_observed,
-    ChaosCase, ChaosReport, ChaosRow,
+    chaos_grid, run_chaos, run_chaos_experiment, run_chaos_observed, ChaosCase, ChaosReport,
+    ChaosRow,
 };
 pub use eval::{
     run_rate_sweep, run_rate_sweep_experiment, run_serving, run_serving_experiment,
-    run_serving_experiment_observed, run_serving_observed, RatePoint, RateSweepReport,
-    ScenarioServing, ServingOptions, ServingReport,
+    run_serving_observed, RatePoint, RateSweepReport, ScenarioServing, ServingOptions,
+    ServingReport,
 };
 pub use incident::{
     incidents_from_trace, incidents_json, incidents_txt, IncidentReport, Milestone, RootCauseKind,
@@ -131,4 +131,4 @@ pub use runtime::{
     Compromise, Fleet, FleetMember, MemberFault, MemberState, PolicyConfig, PolicyEvent,
     ResponseAction, ServedBatch, StreamOutcome,
 };
-pub use scheduler::{partition, percentile, AdmissionQueue, ArrivalModel, Request, RequestOutcome};
+pub use scheduler::{partition, AdmissionQueue, ArrivalModel, Request, RequestOutcome};

@@ -1,23 +1,13 @@
-//! CSV and JSON renderers for the serving and chaos evaluations,
-//! mirroring the style of `safelight::eval`'s figure emitters: `f64`
-//! values print through `Display` (exact round-trip), `NaN` renders as an
-//! empty CSV field and a JSON `null`, and row order equals case input
-//! order — so the artifacts are byte-identical across worker-thread
-//! counts.
+//! CSV and JSON renderers for the serving and chaos evaluations, through
+//! the shared `safelight_obs` formatters: `f64` values print through
+//! `Display` (exact round-trip), `NaN` renders as an empty CSV field and
+//! a JSON `null`, and row order equals case input order — so the
+//! artifacts are byte-identical across worker-thread counts.
 
-use safelight::eval::{json_num, json_str};
-use safelight_obs::SloVerdict;
+use safelight_obs::{csv_num, json_num, json_str, SloVerdict};
 
 use crate::chaos::ChaosReport;
 use crate::eval::{RateSweepReport, ServingReport};
-
-fn csv_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        String::new()
-    }
-}
 
 /// The violated-objective list as one CSV/JSON token (`none` when clean).
 fn slo_violations(v: &SloVerdict) -> String {

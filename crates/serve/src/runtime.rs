@@ -11,8 +11,8 @@
 //! [`Request::arrived_at`] stamp is reached, wait in a bounded
 //! [`AdmissionQueue`], and the continuous batcher fills each tick's
 //! micro-batches from whatever has arrived ([`Fleet::serve_queue`]).
-//! With every request stamped `0.0` this degenerates to the closed loop
-//! ([`Fleet::serve_stream`]), which reproduces the pre-request-plane
+//! With every request stamped `0.0` and an unbounded queue this
+//! degenerates to the closed loop, which reproduces the pre-request-plane
 //! contiguous partition byte-for-byte.
 //!
 //! # Response-policy state machine
@@ -876,7 +876,7 @@ impl StreamOutcome {
     }
 
     /// Ascending-sorted per-request service latencies in virtual ticks,
-    /// ready for [`crate::scheduler::percentile`].
+    /// ready for [`safelight_obs::percentile`].
     #[must_use]
     pub fn sorted_latencies(&self) -> Vec<f64> {
         let mut latencies: Vec<f64> = self.outcomes.iter().map(|o| o.service_latency).collect();
@@ -978,73 +978,6 @@ impl Fleet {
         self.members.iter().filter(|m| m.serves()).count()
     }
 
-    /// Serves `requests` closed-loop as ordered micro-batches of
-    /// `batch_size`: the admission queue is unbounded, so nothing is shed
-    /// and the continuous batcher degenerates to the contiguous
-    /// [`crate::scheduler::partition`] schedule (arrival rate = ∞ when
-    /// every request is stamped `arrived_at = 0.0`).
-    ///
-    /// Each tick hands the next pending batches to the active members in
-    /// member order and runs them concurrently on the shared worker pool;
-    /// the policy then processes any alarms serially, so remediation takes
-    /// effect before the next tick. An optional [`Compromise`] lands on
-    /// its member at the given batch index. All scheduling, noise and
-    /// policy decisions are deterministic in `(requests, seed)` and
-    /// independent of `threads`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass, derivation and recalibration errors.
-    pub fn serve_stream(
-        &mut self,
-        requests: &[Request],
-        batch_size: usize,
-        compromise: Option<Compromise<'_>>,
-        seed: u64,
-        threads: usize,
-    ) -> Result<StreamOutcome, SafelightError> {
-        self.serve_queue(
-            requests,
-            batch_size,
-            usize::MAX,
-            compromise,
-            None,
-            seed,
-            threads,
-        )
-    }
-
-    /// [`Fleet::serve_stream`] plus an optional benign [`MemberFault`]:
-    /// sensor faults are armed on their member up front (the plan gates
-    /// itself on its onset batch), and a crash plan takes the member
-    /// through [`MemberState::Restarting`] and cache recovery mid-stream.
-    /// Faults and compromises compose — the chaos grid's overlap cases
-    /// land both on one fleet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass, derivation and recalibration errors, and
-    /// rejects out-of-range member indices.
-    pub fn serve_stream_with_faults(
-        &mut self,
-        requests: &[Request],
-        batch_size: usize,
-        compromise: Option<Compromise<'_>>,
-        fault: Option<MemberFault<'_>>,
-        seed: u64,
-        threads: usize,
-    ) -> Result<StreamOutcome, SafelightError> {
-        self.serve_queue(
-            requests,
-            batch_size,
-            usize::MAX,
-            compromise,
-            fault,
-            seed,
-            threads,
-        )
-    }
-
     /// The open-loop request plane: serves `requests` through a bounded
     /// admission queue in virtual time.
     ///
@@ -1060,11 +993,19 @@ impl Fleet {
     /// recorded on the outcome in tick units. When the queue runs empty
     /// the clock jumps to the next arrival instead of spinning.
     ///
+    /// With an unbounded queue (`usize::MAX`) and every request stamped
+    /// `0.0` this is the closed loop's contiguous
+    /// [`crate::scheduler::partition`] schedule. An optional [`Compromise`]
+    /// lands on its member at its batch index; an optional [`MemberFault`]
+    /// is armed up front (a crash plan takes the member through
+    /// [`MemberState::Restarting`] and cache recovery), and the two
+    /// compose on one fleet.
+    ///
     /// Response-policy time (compromise/crash onsets, restart windows,
     /// remap backoff) stays in *dispatched-batch* units, exactly as in
-    /// the closed loop, so PR 4–6 acceptance numbers remain comparable.
-    /// Everything — arrivals, routing, noise, policy — is deterministic
-    /// in `(requests, seed)` and independent of `threads`.
+    /// the closed loop, so closed-loop acceptance numbers remain
+    /// comparable. Everything — arrivals, routing, noise, policy — is
+    /// deterministic in `(requests, seed)` and independent of `threads`.
     ///
     /// # Errors
     ///
@@ -1783,7 +1724,9 @@ mod tests {
     #[test]
     fn clean_stream_serves_every_request_in_order() {
         let (mut fleet, reqs) = make_fleet(2, true);
-        let out = fleet.serve_stream(&reqs, 8, None, 7, 2).unwrap();
+        let out = fleet
+            .serve_queue(&reqs, 8, usize::MAX, None, None, 7, 2)
+            .unwrap();
         assert_eq!(out.outcomes.len(), reqs.len());
         assert_eq!(out.unserved, 0);
         assert!(
@@ -1813,14 +1756,16 @@ mod tests {
         let (mut fleet, reqs) = make_fleet(2, true);
         let attack = bank0_attack();
         let out = fleet
-            .serve_stream(
+            .serve_queue(
                 &reqs,
                 8,
+                usize::MAX,
                 Some(Compromise {
                     member: 0,
                     onset_batch: 4,
                     conditions: &attack,
                 }),
+                None,
                 7,
                 2,
             )
@@ -1863,14 +1808,16 @@ mod tests {
         let (mut fleet, reqs) = make_fleet(2, false);
         let attack = bank0_attack();
         let out = fleet
-            .serve_stream(
+            .serve_queue(
                 &reqs,
                 8,
+                usize::MAX,
                 Some(Compromise {
                     member: 0,
                     onset_batch: 4,
                     conditions: &attack,
                 }),
+                None,
                 7,
                 1,
             )
@@ -1893,14 +1840,16 @@ mod tests {
             attack.set(BlockKind::Fc, ring, MrCondition::Parked);
         }
         let out = fleet
-            .serve_stream(
+            .serve_queue(
                 &reqs,
                 8,
+                usize::MAX,
                 Some(Compromise {
                     member: 0,
                     onset_batch: 4,
                     conditions: &attack,
                 }),
+                None,
                 7,
                 2,
             )
@@ -1938,7 +1887,9 @@ mod tests {
         for member in &mut fleet.members {
             member.apply_compromise(&attack).unwrap();
         }
-        let out = fleet.serve_stream(&reqs, 8, None, 7, 2).unwrap();
+        let out = fleet
+            .serve_queue(&reqs, 8, usize::MAX, None, None, 7, 2)
+            .unwrap();
         // One member exhausts its remap retries and fails over...
         let failover = out
             .events
@@ -1979,9 +1930,10 @@ mod tests {
         let spec: FaultSpec = "dead:drop/fc/0.5/2/0".parse().unwrap();
         let plan = inject_fault(&spec, &config, counts, 7).unwrap();
         let out = fleet
-            .serve_stream_with_faults(
+            .serve_queue(
                 &reqs,
                 8,
+                usize::MAX,
                 None,
                 Some(MemberFault {
                     member: 0,
@@ -2026,9 +1978,10 @@ mod tests {
             crash: true,
         };
         let out = fleet
-            .serve_stream_with_faults(
+            .serve_queue(
                 &reqs,
                 8,
+                usize::MAX,
                 None,
                 Some(MemberFault {
                     member: 0,
@@ -2083,17 +2036,11 @@ mod tests {
                 let (mut fleet_rt, _) = make_fleet(fleet, true);
                 let reqs = requests(count);
                 fleet_rt
-                    .serve_stream(
-                        &reqs,
-                        batch_size,
-                        Some(Compromise {
+                    .serve_queue(&reqs, batch_size, usize::MAX, Some(Compromise {
                             member: 0,
                             onset_batch: onset,
                             conditions: &attack,
-                        }),
-                        13,
-                        threads,
-                    )
+                        }), None, 13, threads)
                     .unwrap()
             };
             let a = run(1);
@@ -2175,14 +2122,16 @@ mod tests {
         let run = |threads: usize| {
             let (mut fleet, reqs) = make_fleet(3, true);
             fleet
-                .serve_stream(
+                .serve_queue(
                     &reqs,
                     8,
+                    usize::MAX,
                     Some(Compromise {
                         member: 0,
                         onset_batch: 3,
                         conditions: &attack,
                     }),
+                    None,
                     11,
                     threads,
                 )
@@ -2293,12 +2242,12 @@ mod tests {
 
     /// The obs histogram's percentile estimate on real serving latencies
     /// stays within one log-bucket width of the exact nearest-rank
-    /// [`crate::scheduler::percentile`] — the accuracy contract the
+    /// [`safelight_obs::percentile`] — the accuracy contract the
     /// serving metrics (`serve_latency_ticks` et al.) rely on.
     #[test]
     fn histogram_percentiles_track_exact_on_serving_latencies() {
-        use crate::scheduler::{percentile, ArrivalModel};
-        use safelight_obs::{Histogram, HistogramConfig};
+        use crate::scheduler::ArrivalModel;
+        use safelight_obs::{percentile, Histogram, HistogramConfig};
         let model = ArrivalModel::Bursty {
             rate: 24.0,
             burst: 12,

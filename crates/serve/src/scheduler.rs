@@ -295,19 +295,6 @@ impl AdmissionQueue {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample: the smallest
-/// value with at least `q` of the sample at or below it. `q` is a
-/// fraction in `(0, 1]`; an empty sample yields NaN.
-#[must_use]
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Partitions `count` requests into contiguous micro-batches of at most
 /// `batch_size` (minimum 1), in arrival order.
 ///
@@ -391,16 +378,6 @@ mod tests {
     #[test]
     fn closed_schedule_is_all_zeros() {
         assert_eq!(ArrivalModel::Closed.schedule(5, 99), vec![0.0; 5]);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sample = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sample, 0.5), 2.0);
-        assert_eq!(percentile(&sample, 0.99), 4.0);
-        assert_eq!(percentile(&sample, 0.25), 1.0);
-        assert_eq!(percentile(&[7.0], 0.999), 7.0);
-        assert!(percentile(&[], 0.5).is_nan());
     }
 
     proptest! {

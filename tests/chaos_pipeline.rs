@@ -15,6 +15,7 @@ use safelight_onn::{AnalyticBackend, SensorChannel, WeightMapping};
 use safelight_serve::chaos::{chaos_grid, run_chaos, ChaosCase};
 use safelight_serve::eval::ServingOptions;
 use safelight_serve::report::{chaos_csv, chaos_json};
+use safelight_serve::ArrivalModel;
 
 /// A trained-enough CNN_1 on the scaled accelerator profile (the same
 /// trade the serving tests make: debug-mode full-scale solves buy no
@@ -221,6 +222,10 @@ fn degenerate_chaos_options_are_rejected() {
         },
         ServingOptions {
             fleet_size: 0,
+            ..quick_opts()
+        },
+        ServingOptions {
+            arrival: ArrivalModel::Poisson { rate: 0.0 },
             ..quick_opts()
         },
     ] {

@@ -11,6 +11,7 @@ use safelight_neuro::{Network, Trainer, TrainerConfig};
 use safelight_onn::{AnalyticBackend, SensorChannel, WeightMapping};
 use safelight_serve::chaos::{chaos_grid, run_chaos_observed, ChaosCase};
 use safelight_serve::eval::{run_serving_observed, ServingOptions};
+use safelight_serve::report::chaos_csv;
 
 /// A trained-enough CNN_1 on the scaled accelerator profile (the same
 /// trade the serving/chaos tests make).
@@ -242,7 +243,7 @@ fn committed_artifacts_are_byte_identical_across_thread_counts() {
             ScenarioSpec::new(VectorSpec::Actuation, AttackTarget::Both, 0.10, 0),
         ),
     ];
-    let run = |threads: usize| {
+    let run = |threads: usize, observe: bool| {
         run_chaos_observed(
             &network,
             &mapping,
@@ -253,20 +254,28 @@ fn committed_artifacts_are_byte_identical_across_thread_counts() {
             &quick_opts(),
             7,
             threads,
-            true,
+            observe,
         )
         .unwrap()
-        .1
-        .expect("observe=true returns artifacts")
     };
-    let serial = run(1);
-    let parallel = run(4);
+    let (report, serial) = run(1, true);
+    let serial = serial.expect("observe=true returns artifacts");
+    let parallel = run(4, true).1.expect("observe=true returns artifacts");
     // The committed trace and every metrics rendering are byte-identical;
     // only the wall-clock profile sidecar may differ.
     assert_eq!(serial.trace, parallel.trace);
     assert_eq!(serial.metrics.prometheus(), parallel.metrics.prometheus());
     assert_eq!(serial.metrics.json(), parallel.metrics.json());
     assert_eq!(serial.metrics.csv(), parallel.metrics.csv());
+    // Unobserved runs return no artifacts and identical report rows
+    // (compared through the CSV, where a NaN field equals itself).
+    let (unobserved, none) = run(1, false);
+    assert!(none.is_none());
+    assert_eq!(
+        chaos_csv(&unobserved),
+        chaos_csv(&report),
+        "observation changed results"
+    );
 }
 
 #[test]
