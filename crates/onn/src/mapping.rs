@@ -249,6 +249,23 @@ impl WeightMapping {
             .collect()
     }
 
+    /// How many [`WeightMapping::idle_slots`] `kind`'s block has, without
+    /// scanning the idle region: the idle logical range minus the retired
+    /// rings in its image. The relocation table is an involution, so a
+    /// retired ring `r` lies in that image exactly when
+    /// `physical_ring(r)` is an idle logical ring.
+    #[must_use]
+    pub fn spare_count(&self, kind: BlockKind) -> usize {
+        let used = self.used_slots(kind);
+        let idle = self.shape(kind).total_mrs().saturating_sub(used) as usize;
+        let retired = self
+            .retired(kind)
+            .iter()
+            .filter(|&&r| self.physical_ring(kind, r) >= used)
+            .count();
+        idle - retired
+    }
+
     /// Retires the `quarantined` physical rings of `kind`'s block and
     /// relocates every parameter slot they carry onto the block's spare
     /// (idle, un-retired) rings, allocating spares from the top of the idle
@@ -708,6 +725,24 @@ mod tests {
         assert!(outcome.unplaced.is_empty());
         assert_eq!(outcome.retired, vec![40]);
         assert!(!mapping.idle_slots(BlockKind::Fc).contains(&40));
+    }
+
+    #[test]
+    fn spare_count_matches_the_idle_slots() {
+        let mut mapping = spare_mapping();
+        let agree = |m: &WeightMapping| {
+            for kind in [BlockKind::Conv, BlockKind::Fc] {
+                assert_eq!(m.spare_count(kind), m.idle_slots(kind).len(), "{kind:?}");
+            }
+        };
+        agree(&mapping);
+        // A relocation, a chained one, an idle retirement, then exhaustion.
+        for quarantined in [&[7u64][..], &[49], &[40], &(0..25).collect::<Vec<_>>()] {
+            mapping.remap_params(BlockKind::Fc, quarantined).unwrap();
+            agree(&mapping);
+        }
+        mapping.remap_params(BlockKind::Conv, &[2]).unwrap();
+        agree(&mapping);
     }
 
     #[test]

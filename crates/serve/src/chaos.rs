@@ -39,7 +39,7 @@ use safelight_onn::{InferenceBackend, SensorChannel, WeightMapping};
 
 use crate::eval::{run_cases, spec_stream_key, Case, ServingOptions};
 use crate::observe::ObsArtifacts;
-use crate::runtime::{fold, ResponseAction, StreamOutcome};
+use crate::runtime::{fold, Decision, Disposition, StreamOutcome};
 use crate::scheduler::ArrivalModel;
 
 /// One cell of the chaos grid: an optional benign fault and an optional
@@ -312,38 +312,43 @@ fn summarize_chaos(
     let mut recover_batch: Option<u64> = None;
     let mut settle: Option<u64> = None;
     for e in out.events.iter().filter(|e| e.member == member) {
-        let label = match e.action {
-            ResponseAction::Alarm => "alarm",
-            ResponseAction::Remap { .. } => "remap",
-            ResponseAction::Failover => "failover",
-            ResponseAction::Maintenance { .. } => {
+        let label = match &e.decision {
+            // A cleared mask ends a maintenance episode; it is no action.
+            Decision::MaskClear => continue,
+            Decision::SensorMask { .. }
+            | Decision::RailGlitch { .. }
+            | Decision::SensorQuarantine { .. } => {
                 maintenance += 1;
                 "maintenance"
             }
-            ResponseAction::Crash => {
+            Decision::Crash { .. } => {
                 crash_batch.get_or_insert(e.batch);
                 "crash"
             }
-            ResponseAction::Recover => {
+            Decision::Recover { .. } => {
                 recover_batch.get_or_insert(e.batch);
                 settle = Some(settle.map_or(e.batch + 1, |s| s.max(e.batch + 1)));
                 "recover"
             }
+            Decision::Implicate {
+                disposition: Disposition::Remap { .. },
+                ..
+            } => "remap",
+            Decision::Implicate {
+                disposition: Disposition::Failover,
+                ..
+            }
+            | Decision::Unlocalized { failover: true, .. } => "failover",
+            Decision::Implicate { .. } | Decision::Unlocalized { .. } => "alarm",
         };
-        let quarantine = matches!(
-            e.action,
-            ResponseAction::Remap { .. } | ResponseAction::Failover
-        );
+        let quarantine = matches!(label, "remap" | "failover");
         if quarantine {
             settle = Some(settle.map_or(e.batch + 1, |s| s.max(e.batch + 1)));
             if case.scenario.is_none() || e.batch < trojan_onset {
                 spurious = true;
             }
         }
-        if case.scenario.is_some()
-            && e.batch >= trojan_onset
-            && (quarantine || e.action == ResponseAction::Alarm)
-        {
+        if case.scenario.is_some() && e.batch >= trojan_onset && (quarantine || label == "alarm") {
             trojan_detected = true;
         }
         if !actions.contains(&label) {

@@ -41,7 +41,8 @@ use safelight_onn::{
 
 use crate::observe::{ObsArtifacts, ServeObserver};
 use crate::runtime::{
-    fold, Compromise, Fleet, FleetMember, MemberFault, PolicyConfig, ResponseAction, StreamOutcome,
+    fold, Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault, PolicyConfig,
+    StreamOutcome,
 };
 use crate::scheduler::{ArrivalModel, Request};
 
@@ -443,32 +444,39 @@ fn summarize(out: &CaseOutcome<'_>, labels: &[usize], opts: &ServingOptions) -> 
         .iter()
         .filter(|e| e.batch >= onset && e.member == compromised_member)
     {
-        let label = match e.action {
+        let label = match &e.decision {
             // Maintenance flags and crash/recovery transitions are not
             // trojan detections — they must not start the latency clock
             // or shift the phase boundaries.
-            ResponseAction::Maintenance { .. }
-            | ResponseAction::Crash
-            | ResponseAction::Recover => continue,
-            ResponseAction::Alarm => "alarm",
-            ResponseAction::Remap {
-                remapped_rings,
-                unplaced_rings,
+            Decision::SensorMask { .. }
+            | Decision::MaskClear
+            | Decision::RailGlitch { .. }
+            | Decision::SensorQuarantine { .. }
+            | Decision::Crash { .. }
+            | Decision::Recover { .. } => continue,
+            Decision::Implicate {
+                disposition:
+                    Disposition::Remap {
+                        remapped_rings,
+                        unplaced_rings,
+                        ..
+                    },
                 ..
             } => {
                 remapped += remapped_rings;
                 unplaced += unplaced_rings;
-                if recovery_batch.is_none() {
-                    recovery_batch = Some(e.batch + 1);
-                }
+                recovery_batch.get_or_insert(e.batch + 1);
                 "remap"
             }
-            ResponseAction::Failover => {
-                if recovery_batch.is_none() {
-                    recovery_batch = Some(e.batch + 1);
-                }
+            Decision::Implicate {
+                disposition: Disposition::Failover,
+                ..
+            }
+            | Decision::Unlocalized { failover: true, .. } => {
+                recovery_batch.get_or_insert(e.batch + 1);
                 "failover"
             }
+            Decision::Implicate { .. } | Decision::Unlocalized { .. } => "alarm",
         };
         if detect_batch.is_none() {
             detect_batch = Some(e.batch);

@@ -679,6 +679,59 @@ mod tests {
         assert!(incidents_from_trace(trace, &SloSpec::default()).is_empty());
     }
 
+    /// The renderer↔forensics contract: each decision's audit line, as the
+    /// observer renders it, is classified by the root cause it testifies
+    /// to and plays its timeline role (remediation or recovery).
+    #[test]
+    fn every_decision_line_classifies_and_plays_its_role() {
+        use crate::observe::tests::every_decision;
+        use crate::observe::ServeObserver;
+        use RootCauseKind::*;
+        // (root cause, remediates, completes recovery), in the order of
+        // `every_decision`.
+        let contract = [
+            (Some(SensorFault), true, false),     // sensor_mask
+            (None, false, true),                  // mask_clear
+            (Some(SupplyTransient), true, false), // rail_glitch
+            (Some(Trojan), true, false),          // implicate: remap
+            (Some(Trojan), false, false),         // implicate: backoff
+            (Some(Trojan), false, false),         // implicate: remap_failed
+            (Some(Trojan), true, false),          // implicate: failover
+            (Some(SensorFault), true, false),     // sensor_quarantine
+            (None, false, false),                 // unlocalized: alarm
+            (Some(Trojan), true, false),          // unlocalized: failover
+            (Some(Crash), true, false),           // crash
+            (None, false, true),                  // recover
+        ];
+        let events = every_decision();
+        assert_eq!(events.len(), contract.len());
+        let header = ["case=00 kind=fault fault=dead:drop/fc/0.5/0/0 scenario=".to_string()];
+        for (event, (cause, remediates, recovers)) in events.iter().zip(contract) {
+            let obs = ServeObserver::new();
+            obs.record(event.batch, event);
+            let (trace, _) = obs.drain(&header);
+            let incidents = incidents_from_trace(&trace, &SloSpec::default());
+            let [r] = incidents.as_slice() else {
+                panic!("one incident expected from {trace}");
+            };
+            let name = trace
+                .lines()
+                .nth(1)
+                .and_then(|l| l.split_whitespace().nth(3));
+            let name = name.and_then(|t| t.strip_prefix("event=")).unwrap();
+            assert_eq!(r.observed, cause.into_iter().collect::<Vec<_>>(), "{trace}");
+            let remediated = r.remediated.as_ref().map(|m| m.event.as_str());
+            assert_eq!(remediated, remediates.then_some(name), "{trace}");
+            // Recovery falls back to the remediation milestone.
+            let recovered = r.recovered.as_ref().map(|m| m.event.as_str());
+            assert_eq!(
+                recovered,
+                (remediates || recovers).then_some(name),
+                "{trace}"
+            );
+        }
+    }
+
     #[test]
     fn renderers_cover_every_incident() {
         let slo = SloSpec::default();

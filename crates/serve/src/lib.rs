@@ -128,7 +128,7 @@ pub use incident::{
 };
 pub use observe::{ObsArtifacts, ServeObserver};
 pub use runtime::{
-    Compromise, Fleet, FleetMember, MemberFault, MemberState, PolicyConfig, PolicyEvent,
-    ResponseAction, ServedBatch, StreamOutcome,
+    Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault, MemberState, PolicyConfig,
+    PolicyEvent, ServedBatch, StreamOutcome,
 };
 pub use scheduler::{partition, AdmissionQueue, ArrivalModel, Request, RequestOutcome};

@@ -15,11 +15,13 @@
 //! text)` key.
 //!
 //! The trace vocabulary mirrors the response-policy state machine: every
-//! quarantine, remap, failover, maintenance verdict, crash and recovery
-//! appears as a `policy`/`crash`/`recover` event carrying the *inputs* of
-//! the decision (worst suite score, rail-glitch z, implicated banks with
-//! their excursions, masked channels, retry state), so a committed trace
-//! reconstructs the decision sequence without re-running the stream.
+//! quarantine, remap, failover, maintenance verdict, crash and recovery is
+//! one [`Decision`], which the observer's `record` renders as a
+//! `policy`/`crash`/`recover` event carrying the *inputs* of the decision
+//! (worst suite score, rail-glitch z, implicated banks with their
+//! excursions, masked channels, retry state) and counts in the metrics
+//! from the same value, so a committed trace reconstructs the decision
+//! sequence without re-running the stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,10 +30,9 @@ use safelight_obs::{
     default_rules, labeled, AlertEngine, AlertFiring, Histogram, HistogramConfig, MetricsRegistry,
     SloSpec, Stage, Tracer,
 };
-use safelight_onn::{BlockKind, SensorChannel};
 
 use crate::incident::IncidentReport;
-use crate::runtime::ServedBatch;
+use crate::runtime::{Decision, Disposition, PolicyEvent, ServedBatch, StreamOutcome};
 
 /// Rendered observability artifacts of one observed run: the committed
 /// trace (deterministic, byte-identical across thread counts), the
@@ -70,18 +71,6 @@ impl std::fmt::Debug for ServeObserver {
             .field("scope", &self.scope)
             .finish_non_exhaustive()
     }
-}
-
-/// Formats one implicated bank with its worst field excursion, e.g.
-/// `conv:1(z=7.123)`.
-fn bank_tag(kind: BlockKind, bank: usize, zs: &[f64; 4]) -> String {
-    let worst = zs.iter().fold(f64::NEG_INFINITY, |a, &z| a.max(z));
-    format!("{kind}:{bank}(z={worst:.3})")
-}
-
-/// Formats one sensor-channel key, e.g. `fc:1:DeltaKelvin`.
-fn channel_tag(kind: BlockKind, index: usize, channel: SensorChannel) -> String {
-    format!("{kind}:{index}:{channel:?}")
 }
 
 impl ServeObserver {
@@ -193,32 +182,6 @@ impl ServeObserver {
             .observe(depth as f64);
     }
 
-    /// A member crashed out of the routing set.
-    pub(crate) fn crash(&self, tick: u64, batch: u64, member: usize, restart_until: u64) {
-        self.tracer.event(
-            tick,
-            Stage::Crash,
-            member as u64,
-            format!("event=crash member={member} batch={batch} restart_until={restart_until}"),
-        );
-        self.inc("serve_crashes_total", 1);
-    }
-
-    /// A member recovered from the model cache and rejoined.
-    pub(crate) fn recover(&self, tick: u64, batch: u64, member: usize, latency_batches: u64) {
-        self.tracer.event(
-            tick,
-            Stage::Recover,
-            member as u64,
-            format!(
-                "event=recover member={member} batch={batch} latency_batches={latency_batches}"
-            ),
-        );
-        self.inc("serve_recoveries_total", 1);
-        self.latency_hist("serve_crash_recovery_latency_batches")
-            .observe(latency_batches as f64);
-    }
-
     /// A pending compromise activated on its member.
     pub(crate) fn compromise(&self, tick: u64, batch: u64, member: usize) {
         self.tracer.event(
@@ -284,216 +247,92 @@ impl ServeObserver {
         }
     }
 
-    // --- Response-policy audit events (serial path). --------------------
-    //
-    // One event per decision, carrying the decision's inputs. `seq` is the
-    // global batch index of the alarming frame; the member id is in the
-    // text (one member can only produce one decision per batch).
-
-    fn policy(&self, tick: u64, batch: u64, text: String) {
-        self.tracer.event(tick, Stage::Policy, batch, text);
-    }
-
-    /// Sensor-health screen masked new channels: maintenance verdict.
-    pub(crate) fn sensor_mask(
-        &self,
-        tick: u64,
-        batch: u64,
-        member: usize,
-        newly: &[(BlockKind, usize, SensorChannel)],
-        total_masked: usize,
-        score: f64,
-    ) {
-        let masked: Vec<String> = newly
-            .iter()
-            .map(|&(k, i, c)| channel_tag(k, i, c))
-            .collect();
-        self.policy(
-            tick,
-            batch,
-            format!(
-                "event=sensor_mask member={member} masked=[{}] total={total_masked} \
-                 score={score:.4} action=maintenance",
-                masked.join(",")
-            ),
-        );
-        self.inc("serve_maintenance_total", 1);
-        self.inc("serve_masked_channels_total", newly.len() as u64);
-    }
-
-    /// Every mask cleared and the detectors went quiet: flag dropped.
-    pub(crate) fn mask_clear(&self, tick: u64, batch: u64, member: usize) {
-        self.policy(tick, batch, format!("event=mask_clear member={member}"));
-    }
-
-    /// An alarm classified as a coherent supply transient.
-    pub(crate) fn rail_glitch(
-        &self,
-        tick: u64,
-        batch: u64,
-        member: usize,
-        rail_z: f64,
-        threshold: f64,
-        score: f64,
-    ) {
-        self.policy(
-            tick,
-            batch,
-            format!(
-                "event=rail_glitch member={member} rail_z={rail_z:.3} threshold={threshold} \
-                 score={score:.4} action=maintenance"
-            ),
-        );
-        self.inc("serve_maintenance_total", 1);
-        self.inc("serve_rail_glitches_total", 1);
-    }
-
-    /// Banks implicated; the policy's disposition is in `action` (one of
-    /// `remap`, `backoff`, `remap_failed`, `failover`) with `detail`
-    /// appended verbatim.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn implicate(
-        &self,
-        tick: u64,
-        batch: u64,
-        member: usize,
-        banks: &[(BlockKind, usize, [f64; 4])],
-        score: f64,
-        action: &str,
-        detail: &str,
-    ) {
-        let tags: Vec<String> = banks
-            .iter()
-            .map(|(k, b, zs)| bank_tag(*k, *b, zs))
-            .collect();
-        self.policy(
-            tick,
-            batch,
-            format!(
-                "event=implicate member={member} banks=[{}] score={score:.4} \
-                 action={action}{detail}",
-                tags.join(",")
-            ),
-        );
-        self.inc("serve_implications_total", 1);
-    }
-
-    /// A remap was applied: spare accounting.
-    pub(crate) fn remap_applied(
-        &self,
-        quarantined_banks: usize,
-        remapped: usize,
-        unplaced: usize,
-        member: usize,
-        spare_level: usize,
-    ) {
-        self.inc("serve_remaps_total", 1);
-        self.inc("serve_quarantined_banks_total", quarantined_banks as u64);
-        self.inc("serve_remapped_rings_total", remapped as u64);
-        self.inc("serve_unplaced_rings_total", unplaced as u64);
-        let member = member.to_string();
-        self.metrics
-            .gauge(&self.name("serve_spare_rings", &[("member", &member)]))
-            .set(spare_level as f64);
-    }
-
-    /// A remap attempt was refused (spares dry) and will be retried.
-    pub(crate) fn remap_retry(&self) {
-        self.inc("serve_remap_retries_total", 1);
-    }
-
-    /// A lone-sensor verdict: quarantine the sensor, not the bank.
-    pub(crate) fn sensor_quarantine(
-        &self,
-        tick: u64,
-        batch: u64,
-        member: usize,
-        suspects: &[(BlockKind, usize, SensorChannel)],
-        score: f64,
-    ) {
-        let tags: Vec<String> = suspects
-            .iter()
-            .map(|&(k, i, c)| channel_tag(k, i, c))
-            .collect();
-        self.policy(
-            tick,
-            batch,
-            format!(
-                "event=sensor_quarantine member={member} suspects=[{}] score={score:.4} \
-                 action=maintenance",
-                tags.join(",")
-            ),
-        );
-        self.inc("serve_maintenance_total", 1);
-        self.inc("serve_sensor_quarantines_total", suspects.len() as u64);
-    }
-
-    /// An unlocalized alarm: patience counting toward failover.
-    pub(crate) fn unlocalized(
-        &self,
-        tick: u64,
-        batch: u64,
-        member: usize,
-        consecutive: usize,
-        score: f64,
-        action: &str,
-    ) {
-        self.policy(
-            tick,
-            batch,
-            format!(
-                "event=unlocalized member={member} consecutive={consecutive} score={score:.4} \
-                 action={action}"
-            ),
-        );
-        self.inc("serve_alarms_total", 1);
-        if action == "failover" {
-            self.inc("serve_failovers_total", 1);
+    /// One response-policy decision (serial path): its audit-trace line
+    /// — crash and recovery on their own stages keyed by member, every
+    /// verdict on the policy stage keyed by batch — and its counters.
+    pub(crate) fn record(&self, tick: u64, event: &PolicyEvent) {
+        let (stage, seq) = match event.decision {
+            Decision::Crash { .. } => (Stage::Crash, event.member as u64),
+            Decision::Recover { .. } => (Stage::Recover, event.member as u64),
+            _ => (Stage::Policy, event.batch),
+        };
+        self.tracer.event(tick, stage, seq, event.to_string());
+        match &event.decision {
+            Decision::SensorMask { newly, .. } => {
+                self.inc("serve_maintenance_total", 1);
+                self.inc("serve_masked_channels_total", newly.len() as u64);
+            }
+            Decision::MaskClear => {}
+            Decision::RailGlitch { .. } => {
+                self.inc("serve_maintenance_total", 1);
+                self.inc("serve_rail_glitches_total", 1);
+            }
+            Decision::Implicate { disposition, .. } => {
+                self.inc("serve_implications_total", 1);
+                match disposition {
+                    Disposition::Remap {
+                        quarantined_banks,
+                        remapped_rings,
+                        unplaced_rings,
+                        spare_level,
+                    } => {
+                        self.inc("serve_remaps_total", 1);
+                        self.inc("serve_quarantined_banks_total", *quarantined_banks as u64);
+                        self.inc("serve_remapped_rings_total", *remapped_rings as u64);
+                        self.inc("serve_unplaced_rings_total", *unplaced_rings as u64);
+                        let member = event.member.to_string();
+                        self.metrics
+                            .gauge(&self.name("serve_spare_rings", &[("member", &member)]))
+                            .set(*spare_level as f64);
+                    }
+                    Disposition::Backoff { .. } => {}
+                    Disposition::RemapFailed { .. } => self.inc("serve_remap_retries_total", 1),
+                    Disposition::Failover => self.inc("serve_failovers_total", 1),
+                }
+            }
+            Decision::SensorQuarantine { suspects } => {
+                self.inc("serve_maintenance_total", 1);
+                self.inc("serve_sensor_quarantines_total", suspects.len() as u64);
+            }
+            Decision::Unlocalized { failover, .. } => {
+                self.inc("serve_alarms_total", 1);
+                if *failover {
+                    self.inc("serve_failovers_total", 1);
+                }
+            }
+            Decision::Crash { .. } => self.inc("serve_crashes_total", 1),
+            Decision::Recover { latency_batches } => {
+                self.inc("serve_recoveries_total", 1);
+                self.latency_hist("serve_crash_recovery_latency_batches")
+                    .observe(*latency_batches as f64);
+            }
         }
-    }
-
-    /// A failover decided on the implication path (spares exhausted).
-    pub(crate) fn failover(&self) {
-        self.inc("serve_failovers_total", 1);
     }
 
     /// End-of-stream summary event plus the end-of-stream SLO gauges
     /// (`serve_availability`, `serve_shed_rate`) the threshold rules
-    /// judge. `healthy` counts the requests served undegraded.
-    pub(crate) fn stream_end(
-        &self,
-        tick: u64,
-        served: usize,
-        unserved: usize,
-        shed: usize,
-        healthy: usize,
-    ) {
-        let total = served + unserved + shed;
-        let availability = if total == 0 {
-            1.0
-        } else {
-            healthy as f64 / total as f64
-        };
-        let shed_rate = if total == 0 {
-            0.0
-        } else {
-            shed as f64 / total as f64
-        };
+    /// judge — the stream outcome's own values, so the gauges match the
+    /// report columns exactly.
+    pub(crate) fn stream_end(&self, out: &StreamOutcome) {
+        let tick = out.ticks;
         self.tracer.event(
             tick,
             Stage::Summary,
             0,
             format!(
-                "event=stream_end served={served} unserved={unserved} shed={shed} \
-                 healthy={healthy} ticks={tick}"
+                "event=stream_end served={} unserved={} shed={} healthy={} ticks={tick}",
+                out.outcomes.len(),
+                out.unserved,
+                out.shed,
+                out.healthy()
             ),
         );
         self.metrics
             .gauge(&self.name("serve_availability", &[]))
-            .set(availability);
+            .set(out.availability());
         self.metrics
             .gauge(&self.name("serve_shed_rate", &[]))
-            .set(shed_rate);
+            .set(out.shed_rate());
         self.end_vt.store(tick, Ordering::Relaxed);
     }
 
@@ -563,8 +402,162 @@ impl Default for ServeObserver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One event per [`Decision`] variant, implicate disposition and
+    /// unlocalized outcome, on member 0 at batches 1, 2, … in this order:
+    /// sensor_mask, mask_clear, rail_glitch, implicate (remap, backoff,
+    /// remap_failed, failover), sensor_quarantine, unlocalized (alarm,
+    /// failover), crash, recover.
+    pub(crate) fn every_decision() -> Vec<PolicyEvent> {
+        use safelight_onn::BlockKind::{Conv, Fc};
+        use safelight_onn::SensorChannel::{DeltaKelvin, DropCurrent, RailPower};
+        let banks = vec![(Fc, 0, [7.5, 1.0, 6.25, 0.5])];
+        let implicate = |disposition| Decision::Implicate {
+            banks: banks.clone(),
+            disposition,
+        };
+        let decisions = [
+            Decision::SensorMask {
+                newly: vec![(Fc, 1, DropCurrent), (Conv, 0, DeltaKelvin)],
+                total_masked: 3,
+            },
+            Decision::MaskClear,
+            Decision::RailGlitch {
+                rail_z: 5.25,
+                threshold: 4.0,
+            },
+            implicate(Disposition::Remap {
+                quarantined_banks: 1,
+                remapped_rings: 8,
+                unplaced_rings: 0,
+                spare_level: 24,
+            }),
+            implicate(Disposition::Backoff { retry_after: 9 }),
+            implicate(Disposition::RemapFailed {
+                attempts: 1,
+                retry_after: 8,
+            }),
+            implicate(Disposition::Failover),
+            Decision::SensorQuarantine {
+                suspects: vec![(Fc, 2, RailPower)],
+            },
+            Decision::Unlocalized {
+                consecutive: 1,
+                failover: false,
+            },
+            Decision::Unlocalized {
+                consecutive: 3,
+                failover: true,
+            },
+            Decision::Crash { restart_until: 13 },
+            Decision::Recover { latency_batches: 2 },
+        ];
+        decisions
+            .into_iter()
+            .zip(1..)
+            .map(|(decision, batch)| PolicyEvent {
+                batch,
+                member: 0,
+                score: if matches!(decision, Decision::Crash { .. } | Decision::Recover { .. }) {
+                    0.0
+                } else {
+                    2.5
+                },
+                decision,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_decision_renders_its_audit_line() {
+        let obs = ServeObserver::new();
+        for e in every_decision() {
+            obs.record(e.batch, &e);
+        }
+        let (trace, _) = obs.drain(&[]);
+        let expected = [
+            "vt=000001 policy seq=000001 event=sensor_mask member=0 \
+             masked=[FC:1:DropCurrent,CONV:0:DeltaKelvin] total=3 score=2.5000 action=maintenance",
+            "vt=000002 policy seq=000002 event=mask_clear member=0",
+            "vt=000003 policy seq=000003 event=rail_glitch member=0 rail_z=5.250 threshold=4 \
+             score=2.5000 action=maintenance",
+            "vt=000004 policy seq=000004 event=implicate member=0 banks=[FC:0(z=7.500)] \
+             score=2.5000 action=remap quarantined=1 remapped=8 unplaced=0",
+            "vt=000005 policy seq=000005 event=implicate member=0 banks=[FC:0(z=7.500)] \
+             score=2.5000 action=backoff retry_after=9",
+            "vt=000006 policy seq=000006 event=implicate member=0 banks=[FC:0(z=7.500)] \
+             score=2.5000 action=remap_failed attempts=1 retry_after=8",
+            "vt=000007 policy seq=000007 event=implicate member=0 banks=[FC:0(z=7.500)] \
+             score=2.5000 action=failover reason=spares_exhausted",
+            "vt=000008 policy seq=000008 event=sensor_quarantine member=0 \
+             suspects=[FC:2:RailPower] score=2.5000 action=maintenance",
+            "vt=000009 policy seq=000009 event=unlocalized member=0 consecutive=1 score=2.5000 \
+             action=alarm",
+            "vt=000010 policy seq=000010 event=unlocalized member=0 consecutive=3 score=2.5000 \
+             action=failover",
+            "vt=000011 crash seq=000000 event=crash member=0 batch=11 restart_until=13",
+            "vt=000012 recover seq=000000 event=recover member=0 batch=12 latency_batches=2",
+        ];
+        assert_eq!(trace.lines().collect::<Vec<_>>(), expected);
+    }
+
+    /// The counter semantics of each decision, pinned on the exact
+    /// Prometheus exposition (histogram buckets aside) — including the
+    /// series a decision creates at zero.
+    #[test]
+    fn every_decision_lands_in_its_counters() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let obs = ServeObserver::with_scope(reg.clone(), &[("case", "03")]);
+        for e in every_decision() {
+            obs.record(e.batch, &e);
+        }
+        let prom = reg.snapshot().prometheus();
+        let series: Vec<&str> = prom.lines().filter(|l| !l.contains("_bucket{")).collect();
+        assert_eq!(
+            series,
+            [
+                "# TYPE serve_alarms_total counter",
+                "serve_alarms_total{case=\"03\"} 2",
+                "# TYPE serve_crash_recovery_latency_batches histogram",
+                "serve_crash_recovery_latency_batches_sum{case=\"03\"} 2",
+                "serve_crash_recovery_latency_batches_count{case=\"03\"} 1",
+                "# TYPE serve_crashes_total counter",
+                "serve_crashes_total{case=\"03\"} 1",
+                "# TYPE serve_failovers_total counter",
+                "serve_failovers_total{case=\"03\"} 2",
+                "# TYPE serve_implications_total counter",
+                "serve_implications_total{case=\"03\"} 4",
+                "# TYPE serve_maintenance_total counter",
+                "serve_maintenance_total{case=\"03\"} 3",
+                "# TYPE serve_masked_channels_total counter",
+                "serve_masked_channels_total{case=\"03\"} 2",
+                "# TYPE serve_quarantined_banks_total counter",
+                "serve_quarantined_banks_total{case=\"03\"} 1",
+                "# TYPE serve_rail_glitches_total counter",
+                "serve_rail_glitches_total{case=\"03\"} 1",
+                "# TYPE serve_recoveries_total counter",
+                "serve_recoveries_total{case=\"03\"} 1",
+                "# TYPE serve_remap_retries_total counter",
+                "serve_remap_retries_total{case=\"03\"} 1",
+                "# TYPE serve_remapped_rings_total counter",
+                "serve_remapped_rings_total{case=\"03\"} 8",
+                "# TYPE serve_remaps_total counter",
+                "serve_remaps_total{case=\"03\"} 1",
+                "# TYPE serve_sensor_quarantines_total counter",
+                "serve_sensor_quarantines_total{case=\"03\"} 1",
+                "# TYPE serve_spare_rings gauge",
+                "serve_spare_rings{case=\"03\",member=\"0\"} 24",
+                "# TYPE serve_unplaced_rings_total counter",
+                "serve_unplaced_rings_total{case=\"03\"} 0",
+            ]
+        );
+        assert!(
+            prom.contains("serve_crash_recovery_latency_batches_bucket{case=\"03\",le=\"2\"} 1\n"),
+            "{prom}"
+        );
+    }
 
     #[test]
     fn scoped_metric_names_carry_labels() {

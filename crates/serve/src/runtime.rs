@@ -42,6 +42,7 @@
 //! Every decision derives from detector scores and deterministic seeds,
 //! so a served stream is byte-identical across worker-thread counts.
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -163,12 +164,12 @@ pub enum MemberState {
     Failed,
 }
 
-/// What the policy did in response to one alarm (or fault event).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResponseAction {
-    /// An alarm the guard bands could not localize (or a remap waiting out
-    /// its retry backoff); no remediation taken yet.
-    Alarm,
+/// A sensor channel key: block, bank (or sentinel) index, channel.
+pub type ChannelKey = (BlockKind, usize, SensorChannel);
+
+/// What the policy did with banks the guard bands implicated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Disposition {
     /// Banks were quarantined and their parameters remapped onto spares.
     Remap {
         /// Banks quarantined (across both blocks).
@@ -180,36 +181,199 @@ pub enum ResponseAction {
         /// their parameters are parked to zero instead of serving
         /// corrupted values).
         unplaced_rings: usize,
+        /// Idle spare rings left on the member after the remap.
+        spare_level: usize,
     },
-    /// The member left the routing set; traffic redistributed to healthy
-    /// peers.
+    /// A failed remap is backing off: alarm without spending spares.
+    Backoff {
+        /// Global batch index before which no remap is retried.
+        retry_after: u64,
+    },
+    /// The spare pool could not absorb the remap; it is retried after a
+    /// backoff.
+    RemapFailed {
+        /// Consecutive failed remap attempts.
+        attempts: usize,
+        /// Global batch index before which no remap is retried.
+        retry_after: u64,
+    },
+    /// Spares exhausted beyond the retry budget: the member failed over.
     Failover,
-    /// A sensor-health verdict: channels were masked (or an alarm was
-    /// classified as a benign sensor fault / supply transient) and the
-    /// member was flagged for maintenance — *no* spares were spent.
-    Maintenance {
-        /// Channels currently masked on the member (0 for a pure supply
-        /// transient, which masks nothing).
-        masked_channels: usize,
+}
+
+/// One response-policy decision with the inputs that drove it.
+///
+/// This is the single record of a decision: [`Fleet`] appends it to
+/// [`StreamOutcome::events`] (as a [`PolicyEvent`]), and an attached
+/// [`ServeObserver`] renders the same value as the audit-trace line and
+/// counts it in the metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Decision {
+    /// The sensor-health screen masked new channels: maintenance verdict.
+    SensorMask {
+        /// Channels masked for the first time on this batch.
+        newly: Vec<ChannelKey>,
+        /// Channels the screen masks on this batch in total.
+        total_masked: usize,
+    },
+    /// Every mask cleared and the detectors went quiet: the maintenance
+    /// flag dropped.
+    MaskClear,
+    /// An alarm classified as a coherent supply transient: maintenance.
+    RailGlitch {
+        /// Coherent rail excursion (σ).
+        rail_z: f64,
+        /// The policy's rail-glitch threshold (σ).
+        threshold: f64,
+    },
+    /// The guard bands implicated banks; `disposition` says what followed.
+    Implicate {
+        /// Implicated banks with their four per-field excursions (σ).
+        banks: Vec<(BlockKind, usize, [f64; 4])>,
+        /// The policy's response.
+        disposition: Disposition,
+    },
+    /// A lone-sensor verdict: the sensors are quarantined, not the bank.
+    SensorQuarantine {
+        /// Quarantined sensor channels.
+        suspects: Vec<ChannelKey>,
+    },
+    /// An alarm the guard bands could not localize.
+    Unlocalized {
+        /// Consecutive unlocalized alarms so far.
+        consecutive: usize,
+        /// Whether patience ran out and the member failed over.
+        failover: bool,
     },
     /// The member crashed and left the routing set for recovery.
-    Crash,
+    Crash {
+        /// Global batch index at which the member rejoins.
+        restart_until: u64,
+    },
     /// The member recovered from the version-stamped model cache and
     /// rejoined the routing set with re-baselined detectors.
-    Recover,
+    Recover {
+        /// Batches from the crash to the recovery.
+        latency_batches: u64,
+    },
 }
 
 /// One policy decision, stamped with when and where it happened.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEvent {
-    /// Global micro-batch index of the alarming frame.
+    /// Global micro-batch index of the alarming frame (of the crash or
+    /// recovery for those decisions).
     pub batch: u64,
     /// Member the event concerns.
     pub member: usize,
-    /// The worst suite score at the alarm.
+    /// The worst suite score of the batch (0 for crash and recovery).
     pub score: f64,
-    /// What the policy did.
-    pub action: ResponseAction,
+    /// What the policy decided.
+    pub decision: Decision,
+}
+
+/// Writes `items` as a bracketed, comma-separated list.
+fn write_list<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: &[T],
+    mut item: impl FnMut(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    f.write_str("[")?;
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        item(f, x)?;
+    }
+    f.write_str("]")
+}
+
+/// Channel keys render as `fc:1:DeltaKelvin`.
+fn write_channels(f: &mut fmt::Formatter<'_>, keys: &[ChannelKey]) -> fmt::Result {
+    write_list(f, keys, |f, (kind, index, channel)| {
+        write!(f, "{kind}:{index}:{channel:?}")
+    })
+}
+
+/// The audit-trace line of the decision: the `event=` name, the member,
+/// the decision's inputs and (for verdicts) the score and `action=`.
+impl fmt::Display for PolicyEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (member, score, batch) = (self.member, self.score, self.batch);
+        match &self.decision {
+            Decision::SensorMask {
+                newly,
+                total_masked,
+            } => {
+                write!(f, "event=sensor_mask member={member} masked=")?;
+                write_channels(f, newly)?;
+                write!(
+                    f,
+                    " total={total_masked} score={score:.4} action=maintenance"
+                )
+            }
+            Decision::MaskClear => write!(f, "event=mask_clear member={member}"),
+            Decision::RailGlitch { rail_z, threshold } => write!(
+                f,
+                "event=rail_glitch member={member} rail_z={rail_z:.3} threshold={threshold} \
+                 score={score:.4} action=maintenance"
+            ),
+            Decision::Implicate { banks, disposition } => {
+                write!(f, "event=implicate member={member} banks=")?;
+                // Each bank with its worst field excursion: `conv:1(z=7.123)`.
+                write_list(f, banks, |f, (kind, bank, zs)| {
+                    let worst = zs.iter().fold(f64::NEG_INFINITY, |a, &z| a.max(z));
+                    write!(f, "{kind}:{bank}(z={worst:.3})")
+                })?;
+                write!(f, " score={score:.4} action=")?;
+                match disposition {
+                    Disposition::Remap {
+                        quarantined_banks,
+                        remapped_rings,
+                        unplaced_rings,
+                        ..
+                    } => write!(
+                        f,
+                        "remap quarantined={quarantined_banks} remapped={remapped_rings} \
+                         unplaced={unplaced_rings}"
+                    ),
+                    Disposition::Backoff { retry_after } => {
+                        write!(f, "backoff retry_after={retry_after}")
+                    }
+                    Disposition::RemapFailed {
+                        attempts,
+                        retry_after,
+                    } => write!(
+                        f,
+                        "remap_failed attempts={attempts} retry_after={retry_after}"
+                    ),
+                    Disposition::Failover => f.write_str("failover reason=spares_exhausted"),
+                }
+            }
+            Decision::SensorQuarantine { suspects } => {
+                write!(f, "event=sensor_quarantine member={member} suspects=")?;
+                write_channels(f, suspects)?;
+                write!(f, " score={score:.4} action=maintenance")
+            }
+            Decision::Unlocalized {
+                consecutive,
+                failover,
+            } => write!(
+                f,
+                "event=unlocalized member={member} consecutive={consecutive} score={score:.4} \
+                 action={}",
+                if *failover { "failover" } else { "alarm" }
+            ),
+            Decision::Crash { restart_until } => write!(
+                f,
+                "event=crash member={member} batch={batch} restart_until={restart_until}"
+            ),
+            Decision::Recover { latency_batches } => write!(
+                f,
+                "event=recover member={member} batch={batch} latency_batches={latency_batches}"
+            ),
+        }
+    }
 }
 
 /// The per-batch result a member hands back to the fleet loop.
@@ -284,7 +448,7 @@ pub struct FleetMember {
     /// Global batch index before which remap retries back off.
     retry_after_batch: u64,
     /// Masked channels already reported, deduping maintenance events.
-    flagged: Vec<(BlockKind, usize, SensorChannel)>,
+    flagged: Vec<ChannelKey>,
 }
 
 /// The four bank-level sensor fields in [`GuardBandDetector::field_excursions`]
@@ -501,7 +665,7 @@ impl FleetMember {
     /// (maintenance inventory; distinct from bank quarantines, which spend
     /// spare rings).
     #[must_use]
-    pub fn quarantined_sensors(&self) -> &[(BlockKind, usize, SensorChannel)] {
+    pub fn quarantined_sensors(&self) -> &[ChannelKey] {
         self.screen.quarantined_channels()
     }
 
@@ -680,17 +844,19 @@ impl FleetMember {
     /// via the operator overlay, re-derives the executor/probe state and
     /// re-baselines the detectors.
     ///
-    /// Returns the applied action. `allow_partial` permits applying a
-    /// remap whose spare pool ran dry (last-member graceful degradation);
-    /// otherwise the caller is expected to fail the member over and the
-    /// mapping mutation is irrelevant because the member leaves service.
+    /// Returns the applied [`Disposition::Remap`], or `None` when the
+    /// spare pool ran dry and `allow_partial` is off. `allow_partial`
+    /// permits applying a remap whose spare pool ran dry (last-member
+    /// graceful degradation); otherwise the caller is expected to fail the
+    /// member over and the mapping mutation is irrelevant because the
+    /// member leaves service.
     fn quarantine_and_remap(
         &mut self,
-        banks: &[(BlockKind, usize)],
+        banks: &[(BlockKind, usize, [f64; 4])],
         stream_seed: u64,
         policy: &PolicyConfig,
         allow_partial: bool,
-    ) -> Result<Option<ResponseAction>, SafelightError> {
+    ) -> Result<Option<Disposition>, SafelightError> {
         let _span = profile_span("remap");
         // Snapshot for rollback: a refused partial remap must leave the
         // mapping untouched, or the retry (and the eventual failover
@@ -703,8 +869,8 @@ impl FleetMember {
             let per_bank = self.backend.config().block(kind).mrs_per_bank() as u64;
             let rings: Vec<u64> = banks
                 .iter()
-                .filter(|(k, _)| *k == kind)
-                .flat_map(|&(_, bank)| {
+                .filter(|(k, _, _)| *k == kind)
+                .flat_map(|&(_, bank, _)| {
                     let base = bank as u64 * per_bank;
                     base..base + per_bank
                 })
@@ -731,10 +897,12 @@ impl FleetMember {
         self.retry_after_batch = 0;
         self.rederive()?;
         self.recalibrate(stream_seed, policy.recalibration_frames)?;
-        Ok(Some(ResponseAction::Remap {
+        Ok(Some(Disposition::Remap {
             quarantined_banks: banks.len(),
             remapped_rings: remapped,
             unplaced_rings: unplaced,
+            spare_level: self.mapping.spare_count(BlockKind::Conv)
+                + self.mapping.spare_count(BlockKind::Fc),
         }))
     }
 
@@ -795,6 +963,182 @@ impl FleetMember {
         self.state = MemberState::Healthy;
         self.restart_until = None;
         Ok(())
+    }
+
+    /// Raises the maintenance flag and drops the detectors' integrated
+    /// state.
+    fn flag_suspect(&mut self) {
+        if self.state == MemberState::Healthy {
+            self.state = MemberState::Suspect;
+        }
+        for d in &mut self.suite {
+            d.reset();
+        }
+    }
+
+    /// Sensor-health bookkeeping of one scored batch, independent of the
+    /// trojan verdict: newly masked channels raise maintenance, and a
+    /// quiet, fully unmasked batch clears it.
+    fn screen_batch(&mut self, batch: &ServedBatch) -> Option<Decision> {
+        let newly: Vec<ChannelKey> = batch
+            .masked
+            .iter()
+            .map(|m| (m.block, m.index, m.channel))
+            .filter(|key| !self.flagged.contains(key))
+            .collect();
+        if !newly.is_empty() {
+            self.flagged.extend(&newly);
+            // The sequential detectors may have integrated corrupt
+            // pre-mask readings (a stuck sensor takes a few frames to
+            // catch): drop that state rather than let it decay into a
+            // late false alarm.
+            self.flag_suspect();
+            Some(Decision::SensorMask {
+                newly,
+                total_masked: batch.masked.len(),
+            })
+        } else if batch.masked.is_empty() && self.state == MemberState::Suspect && !batch.alarmed {
+            // Every mask cleared (e.g. a transient ended) and the
+            // detectors are quiet: drop the maintenance flag.
+            self.state = MemberState::Healthy;
+            self.flagged.clear();
+            Some(Decision::MaskClear)
+        } else {
+            None
+        }
+    }
+
+    /// The fault-vs-trojan discrimination rule for an alarmed batch,
+    /// cheapest benign explanation first. Only a bank whose *physics*
+    /// moved (drop current, or several sensor fields together) spends
+    /// spares; a lone broken readback or a coherent supply transient
+    /// raises maintenance. `None` for a quiet batch.
+    fn respond_to_alarm(
+        &mut self,
+        batch: &ServedBatch,
+        healthy_peers: usize,
+        policy: &PolicyConfig,
+        seed: u64,
+    ) -> Result<Option<Decision>, SafelightError> {
+        if !batch.alarmed {
+            // A quiet scored batch breaks the run of *consecutive*
+            // unlocalized alarms — isolated calibrated-rate false
+            // positives must not accumulate into a failover.
+            self.unlocalized_alarms = 0;
+            return Ok(None);
+        }
+        let frame = batch
+            .frame
+            .as_ref()
+            .expect("an alarm implies a scored frame");
+
+        // 1. A coherent rail dip across *every* bank of a block is a
+        //    supply-side transient: a trojan tapping a fraction of the
+        //    rings cannot dim them all at once.
+        let rail_z = self.guard.coherent_rail_shift(frame);
+        if rail_z >= policy.rail_glitch_z {
+            self.flag_suspect();
+            return Ok(Some(Decision::RailGlitch {
+                rail_z,
+                threshold: policy.rail_glitch_z,
+            }));
+        }
+
+        // 2. Bank implication: the compute-coupled drop channel moved, or
+        //    at least two sensor fields moved together. One lone non-drop
+        //    field is a sensor story, not a physics story.
+        let fields = self.guard.field_excursions(frame);
+        let banks: Vec<(BlockKind, usize, [f64; 4])> = fields
+            .iter()
+            .filter(|(_, _, zs)| {
+                zs[0] >= policy.implicate_z
+                    || zs.iter().filter(|&&z| z >= policy.implicate_z).count() >= 2
+            })
+            .copied()
+            .collect();
+        if !banks.is_empty() {
+            let disposition = if batch.batch < self.retry_after_batch {
+                // Backing off a failed remap attempt: keep alarming
+                // without spending spares until the retry window opens.
+                Disposition::Backoff {
+                    retry_after: self.retry_after_batch,
+                }
+            } else if let Some(remap) =
+                self.quarantine_and_remap(&banks, seed, policy, healthy_peers == 0)?
+            {
+                remap
+            } else {
+                self.remap_attempts += 1;
+                if self.remap_attempts > policy.remap_retries {
+                    // Spares exhausted beyond patience and a healthy peer
+                    // exists: fail over.
+                    self.state = MemberState::Failed;
+                    Disposition::Failover
+                } else {
+                    self.retry_after_batch =
+                        batch.batch + (policy.remap_backoff_batches << (self.remap_attempts - 1));
+                    Disposition::RemapFailed {
+                        attempts: self.remap_attempts,
+                        retry_after: self.retry_after_batch,
+                    }
+                }
+            };
+            return Ok(Some(Decision::Implicate { banks, disposition }));
+        }
+
+        // 3. Single-sensor stories: exactly one non-drop field of a bank
+        //    excursed — quarantine the *sensor*, flag maintenance, spend
+        //    no spares. The attribution threshold is half the implication
+        //    threshold: a detector already fired, so *something* moved —
+        //    a drifting readback alarms while its z is still between the
+        //    operating threshold and `implicate_z`, and waiting for full
+        //    implication would burn the unlocalized-alarm patience on a
+        //    benign sensor. A sensor story can only explain a
+        //    *guard-band* alarm: the sentinel integrity channel and the
+        //    drop-mean CUSUM watch the computation itself (dead/stuck
+        //    sentinels are masked by the health screen before scoring),
+        //    so when either of those is the detector alarming, a broken
+        //    readback cannot be the cause and the alarm falls through to
+        //    the fail-secure path below.
+        let guard_only_alarm = self
+            .suite
+            .iter()
+            .zip(&batch.scores)
+            .zip(&policy.thresholds)
+            .all(|((d, &s), &t)| s <= t || d.name() == "guard_band");
+        let sensor_z = policy.implicate_z * 0.5;
+        let mut suspects: Vec<ChannelKey> = Vec::new();
+        if guard_only_alarm {
+            for &(kind, bank, zs) in &fields {
+                let hot: Vec<usize> = (0..4).filter(|&f| zs[f] >= sensor_z).collect();
+                if let [field] = hot.as_slice() {
+                    if *field != 0 {
+                        suspects.push((kind, bank, FIELD_CHANNELS[*field]));
+                    }
+                }
+            }
+        }
+        if suspects.is_empty() {
+            // 4. Unlocalized alarm: patience, then failover.
+            self.unlocalized_alarms += 1;
+            let failover =
+                self.unlocalized_alarms >= policy.unlocalized_patience && healthy_peers > 0;
+            if failover {
+                self.state = MemberState::Failed;
+            }
+            return Ok(Some(Decision::Unlocalized {
+                consecutive: self.unlocalized_alarms,
+                failover,
+            }));
+        }
+        for &key in &suspects {
+            self.screen.quarantine_channel(key.0, key.1, key.2);
+            if !self.flagged.contains(&key) {
+                self.flagged.push(key);
+            }
+        }
+        self.flag_suspect();
+        Ok(Some(Decision::SensorQuarantine { suspects }))
     }
 }
 
@@ -871,8 +1215,14 @@ impl StreamOutcome {
         if total == 0 {
             return 1.0;
         }
-        let healthy = self.outcomes.iter().filter(|o| !o.degraded_service).count();
-        healthy as f64 / total as f64
+        self.healthy() as f64 / total as f64
+    }
+
+    /// Requests served by a member that was not compromised-and-
+    /// unremediated at the time (the numerator of [`Self::availability`]).
+    #[must_use]
+    pub fn healthy(&self) -> usize {
+        self.outcomes.iter().filter(|o| !o.degraded_service).count()
     }
 
     /// Ascending-sorted per-request service latencies in virtual ticks,
@@ -915,6 +1265,8 @@ pub struct Fleet {
     /// Optional observability sink: when attached, the tick loop and the
     /// response policy emit structured trace events and metrics to it.
     observer: Option<Arc<ServeObserver>>,
+    /// Policy decisions of the stream in flight, in decision order.
+    events: Vec<PolicyEvent>,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -944,6 +1296,7 @@ impl Fleet {
             members,
             policy,
             observer: None,
+            events: Vec::new(),
         })
     }
 
@@ -1040,7 +1393,7 @@ impl Fleet {
         }
         let mut queue = AdmissionQueue::new(queue_capacity);
         let mut outcomes = Vec::with_capacity(requests.len());
-        let mut events = Vec::new();
+        self.events.clear();
         // `next_batch` is the global dispatched-batch counter — the same
         // clock the closed loop called `next`, so every policy gating
         // formula below is unchanged. `tick` is the virtual-time clock.
@@ -1093,84 +1446,30 @@ impl Fleet {
             let remaining = queue.len().div_ceil(batch_size.max(1));
             // Recoveries due this tick: a restarting member whose window
             // elapsed rejoins from the model cache before work is dealt.
-            for i in 0..self.members.len() {
-                let due = self.members[i].state == MemberState::Restarting
-                    && self.members[i]
-                        .restart_until
-                        .is_some_and(|until| next_batch as u64 >= until);
-                if due {
-                    if let Some(o) = &obs {
-                        let until = self.members[i].restart_until.unwrap_or(next_batch as u64);
-                        let crash_at = until.saturating_sub(policy.restart_batches);
-                        o.recover(
-                            tick,
-                            next_batch as u64,
-                            i,
-                            (next_batch as u64).saturating_sub(crash_at),
-                        );
-                    }
-                    self.members[i].recover_from_cache(seed, policy.recalibration_frames)?;
-                    events.push(PolicyEvent {
-                        batch: next_batch as u64,
-                        member: i,
-                        score: 0.0,
-                        action: ResponseAction::Recover,
-                    });
-                }
-            }
+            self.recover_restarting(tick, next_batch as u64, seed, false)?;
             if let Some((member_id, onset)) = crash_pending {
-                // Same rank gating as the compromise below: the crash
-                // lands when the member's own next batch index reaches
-                // the onset.
-                let active_ids: Vec<usize> = self
-                    .members
-                    .iter()
-                    .filter(|m| m.serves())
-                    .take(remaining)
-                    .map(|m| m.id)
-                    .collect();
-                let due_at = match active_ids.iter().position(|&id| id == member_id) {
-                    Some(rank) => (next_batch + rank) as u64,
-                    None => next_batch as u64,
-                };
+                let due_at = self.next_batch_of(member_id, next_batch, remaining);
                 if due_at >= onset {
+                    crash_pending = None;
                     let member = &mut self.members[member_id];
                     if member.state != MemberState::Failed {
+                        let restart_until = due_at + policy.restart_batches;
                         member.state = MemberState::Restarting;
-                        member.restart_until = Some(due_at + policy.restart_batches);
-                        if let Some(o) = &obs {
-                            o.crash(tick, due_at, member_id, due_at + policy.restart_batches);
-                        }
-                        events.push(PolicyEvent {
-                            batch: due_at,
-                            member: member_id,
-                            score: 0.0,
-                            action: ResponseAction::Crash,
-                        });
+                        member.restart_until = Some(restart_until);
+                        self.record(
+                            tick,
+                            PolicyEvent {
+                                batch: due_at,
+                                member: member_id,
+                                score: 0.0,
+                                decision: Decision::Crash { restart_until },
+                            },
+                        );
                     }
-                    crash_pending = None;
                 }
             }
             if let Some(c) = &compromise_pending {
-                // Activate exactly when the compromised member's *own*
-                // next batch index reaches the onset — ticks hand out
-                // several batch indices at once, so gating on the tick
-                // start alone would slip the onset by up to
-                // `fleet_size − 1` batches on larger fleets.
-                let active_ids: Vec<usize> = self
-                    .members
-                    .iter()
-                    .filter(|m| m.serves())
-                    .take(remaining)
-                    .map(|m| m.id)
-                    .collect();
-                let due = match active_ids.iter().position(|&id| id == c.member) {
-                    Some(rank) => (next_batch + rank) as u64 >= c.onset_batch,
-                    // The member serves nothing (failed, or out of work
-                    // this tick): fall back to the stream position.
-                    None => next_batch as u64 >= c.onset_batch,
-                };
-                if due {
+                if self.next_batch_of(c.member, next_batch, remaining) >= c.onset_batch {
                     self.members[c.member].apply_compromise(c.conditions)?;
                     if let Some(o) = &obs {
                         o.compromise(tick, next_batch as u64, c.member);
@@ -1179,36 +1478,12 @@ impl Fleet {
                 }
             }
             if self.active_members() == 0 {
-                let restarting: Vec<usize> = self
-                    .members
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.state == MemberState::Restarting)
-                    .map(|(i, _)| i)
-                    .collect();
-                if restarting.is_empty() {
-                    break; // routing set exhausted — remaining requests unserved
-                }
-                // The entire routing set is down but members are coming
-                // back: the stream simply waits out the restart window (no
+                // The entire routing set is down. When members are coming
+                // back the stream simply waits out the restart window (no
                 // request could be served during it either way), so the
                 // recovery is fast-forwarded instead of spinning.
-                for i in restarting {
-                    if let Some(o) = &obs {
-                        let until = self.members[i].restart_until.unwrap_or(next_batch as u64);
-                        let crash_at = until.saturating_sub(policy.restart_batches);
-                        // The window is fast-forwarded, so the recovery
-                        // latency is the full restart window, not the
-                        // batches that happened to elapse.
-                        o.recover(tick, next_batch as u64, i, until.saturating_sub(crash_at));
-                    }
-                    self.members[i].recover_from_cache(seed, policy.recalibration_frames)?;
-                    events.push(PolicyEvent {
-                        batch: next_batch as u64,
-                        member: i,
-                        score: 0.0,
-                        action: ResponseAction::Recover,
-                    });
+                if !self.recover_restarting(tick, next_batch as u64, seed, true)? {
+                    break; // routing set exhausted — remaining requests unserved
                 }
                 continue;
             }
@@ -1267,334 +1542,123 @@ impl Fleet {
                     o.batch_outcomes(&batch, delays.as_deref().unwrap_or(&[]));
                 }
                 if self.policy.respond && !batch.scores.is_empty() {
-                    self.process_batch(&batch, tick, seed, &mut events)?;
+                    self.process_batch(&batch, tick, seed)?;
                 }
             }
             next_batch += served;
             tick += 1;
         }
         let shed = queue.shed();
-        let unserved = requests.len() - outcomes.len() - shed;
-        if let Some(o) = &obs {
-            let healthy = outcomes.iter().filter(|o| !o.degraded_service).count();
-            o.stream_end(tick, outcomes.len(), unserved, shed, healthy);
-        }
-        Ok(StreamOutcome {
+        let out = StreamOutcome {
+            unserved: requests.len() - outcomes.len() - shed,
             outcomes,
-            events,
-            unserved,
+            events: std::mem::take(&mut self.events),
             shed,
             ticks: tick,
-        })
+        };
+        if let Some(o) = &obs {
+            o.stream_end(&out);
+        }
+        Ok(out)
     }
 
-    /// Processes one scored batch: sensor-health bookkeeping first, then —
-    /// on an alarm — the fault-vs-trojan discrimination rule, cheapest
-    /// benign explanation first. Only a bank whose *physics* moved (drop
-    /// current, or several sensor fields together) spends spares; a lone
-    /// broken readback or a coherent supply transient raises maintenance.
+    /// Records one policy decision: the only place a decision joins the
+    /// stream's event log and reaches the attached observer.
+    fn record(&mut self, tick: u64, event: PolicyEvent) {
+        if let Some(o) = &self.observer {
+            o.record(tick, &event);
+        }
+        self.events.push(event);
+    }
+
+    /// The global batch index `member`'s own next batch carries this tick:
+    /// ticks hand out several batch indices at once (one per member dealt
+    /// work, in member order), so onsets gate on the member's rank rather
+    /// than the tick start, which would slip them by up to
+    /// `fleet_size − 1` batches. A member dealt nothing (failed, or out of
+    /// work this tick) falls back to the stream position.
+    fn next_batch_of(&self, member: usize, next_batch: usize, remaining: usize) -> u64 {
+        self.members
+            .iter()
+            .filter(|m| m.serves())
+            .take(remaining)
+            .position(|m| m.id == member)
+            .map_or(next_batch as u64, |rank| (next_batch + rank) as u64)
+    }
+
+    /// Brings restarting members back from the model cache at global
+    /// batch `batch`: those whose restart window has elapsed, or with
+    /// `fast_forward` every one of them, the window skipped. Each
+    /// recovery is recorded once it succeeded, with its latency measured
+    /// from the crash to the later of `batch` and the window's end (a
+    /// fast-forwarded recovery takes the full window, not the batches
+    /// that happened to elapse). Returns whether any member recovered.
+    fn recover_restarting(
+        &mut self,
+        tick: u64,
+        batch: u64,
+        seed: u64,
+        fast_forward: bool,
+    ) -> Result<bool, SafelightError> {
+        let (restart_batches, frames) = (
+            self.policy.restart_batches,
+            self.policy.recalibration_frames,
+        );
+        let mut recovered = false;
+        for i in 0..self.members.len() {
+            let member = &mut self.members[i];
+            let due = member.state == MemberState::Restarting
+                && (fast_forward || member.restart_until.is_some_and(|until| batch >= until));
+            if !due {
+                continue;
+            }
+            let until = member.restart_until.unwrap_or(batch);
+            member.recover_from_cache(seed, frames)?;
+            recovered = true;
+            self.record(
+                tick,
+                PolicyEvent {
+                    batch,
+                    member: i,
+                    score: 0.0,
+                    decision: Decision::Recover {
+                        latency_batches: batch.max(until) - until.saturating_sub(restart_batches),
+                    },
+                },
+            );
+        }
+        Ok(recovered)
+    }
+
+    /// Runs the response policy on one scored batch — sensor-health
+    /// bookkeeping, then the alarm rule — and records what it decided.
     fn process_batch(
         &mut self,
         batch: &ServedBatch,
         tick: u64,
         seed: u64,
-        events: &mut Vec<PolicyEvent>,
     ) -> Result<(), SafelightError> {
         let _span = profile_span("process_batch");
-        let worst = batch.scores.iter().fold(0.0f64, |a, &s| a.max(s));
         let healthy_peers = self
             .members
             .iter()
             .filter(|m| m.id != batch.member && m.serves())
             .count();
-        let policy = self.policy.clone();
-        let obs = self.observer.clone();
         let member = &mut self.members[batch.member];
-
-        // --- Sensor-health bookkeeping, independent of the trojan verdict.
-        let newly_masked: Vec<(BlockKind, usize, SensorChannel)> = batch
-            .masked
-            .iter()
-            .map(|m| (m.block, m.index, m.channel))
-            .filter(|key| !member.flagged.contains(key))
-            .collect();
-        if !newly_masked.is_empty() {
-            if let Some(o) = &obs {
-                o.sensor_mask(
-                    tick,
-                    batch.batch,
-                    batch.member,
-                    &newly_masked,
-                    batch.masked.len(),
-                    worst,
-                );
-            }
-            member.flagged.extend(newly_masked);
-            if member.state == MemberState::Healthy {
-                member.state = MemberState::Suspect;
-            }
-            // The sequential detectors may have integrated corrupt
-            // pre-mask readings (a stuck sensor takes a few frames to
-            // catch): drop that state rather than let it decay into a
-            // late false alarm.
-            for d in &mut member.suite {
-                d.reset();
-            }
-            events.push(PolicyEvent {
-                batch: batch.batch,
-                member: batch.member,
-                score: worst,
-                action: ResponseAction::Maintenance {
-                    masked_channels: batch.masked.len(),
+        let screened = member.screen_batch(batch);
+        let alarm = member.respond_to_alarm(batch, healthy_peers, &self.policy, seed)?;
+        let score = batch.scores.iter().fold(0.0f64, |a, &s| a.max(s));
+        for decision in [screened, alarm].into_iter().flatten() {
+            self.record(
+                tick,
+                PolicyEvent {
+                    batch: batch.batch,
+                    member: batch.member,
+                    score,
+                    decision,
                 },
-            });
-        } else if batch.masked.is_empty() && member.state == MemberState::Suspect && !batch.alarmed
-        {
-            // Every mask cleared (e.g. a transient ended) and the
-            // detectors are quiet: drop the maintenance flag.
-            member.state = MemberState::Healthy;
-            member.flagged.clear();
-            if let Some(o) = &obs {
-                o.mask_clear(tick, batch.batch, batch.member);
-            }
+            );
         }
-
-        if !batch.alarmed {
-            // A quiet scored batch breaks the run of *consecutive*
-            // unlocalized alarms — isolated calibrated-rate false
-            // positives must not accumulate into a failover.
-            member.unlocalized_alarms = 0;
-            return Ok(());
-        }
-        let frame = batch
-            .frame
-            .as_ref()
-            .expect("an alarm implies a scored frame");
-
-        // 1. A coherent rail dip across *every* bank of a block is a
-        //    supply-side transient: a trojan tapping a fraction of the
-        //    rings cannot dim them all at once.
-        let rail_z = member.guard.coherent_rail_shift(frame);
-        if rail_z >= policy.rail_glitch_z {
-            if let Some(o) = &obs {
-                o.rail_glitch(
-                    tick,
-                    batch.batch,
-                    batch.member,
-                    rail_z,
-                    policy.rail_glitch_z,
-                    worst,
-                );
-            }
-            if member.state == MemberState::Healthy {
-                member.state = MemberState::Suspect;
-            }
-            for d in &mut member.suite {
-                d.reset();
-            }
-            events.push(PolicyEvent {
-                batch: batch.batch,
-                member: batch.member,
-                score: worst,
-                action: ResponseAction::Maintenance {
-                    masked_channels: batch.masked.len(),
-                },
-            });
-            return Ok(());
-        }
-
-        // 2. Bank implication: the compute-coupled drop channel moved, or
-        //    at least two sensor fields moved together. One lone non-drop
-        //    field is a sensor story, not a physics story.
-        let fields = member.guard.field_excursions(frame);
-        let implicated_full: Vec<(BlockKind, usize, [f64; 4])> = fields
-            .iter()
-            .filter(|(_, _, zs)| {
-                zs[0] >= policy.implicate_z
-                    || zs.iter().filter(|&&z| z >= policy.implicate_z).count() >= 2
-            })
-            .copied()
-            .collect();
-        let implicated: Vec<(BlockKind, usize)> = implicated_full
-            .iter()
-            .map(|&(kind, bank, _)| (kind, bank))
-            .collect();
-        let action = if !implicated.is_empty() {
-            if batch.batch < member.retry_after_batch {
-                // Backing off a failed remap attempt: keep alarming
-                // without spending spares until the retry window opens.
-                if let Some(o) = &obs {
-                    o.implicate(
-                        tick,
-                        batch.batch,
-                        batch.member,
-                        &implicated_full,
-                        worst,
-                        "backoff",
-                        &format!(" retry_after={}", member.retry_after_batch),
-                    );
-                }
-                ResponseAction::Alarm
-            } else {
-                match member.quarantine_and_remap(&implicated, seed, &policy, healthy_peers == 0)? {
-                    Some(action) => {
-                        if let (
-                            Some(o),
-                            ResponseAction::Remap {
-                                quarantined_banks,
-                                remapped_rings,
-                                unplaced_rings,
-                            },
-                        ) = (&obs, &action)
-                        {
-                            let spares = member.mapping.idle_slots(BlockKind::Conv).len()
-                                + member.mapping.idle_slots(BlockKind::Fc).len();
-                            o.implicate(
-                                tick,
-                                batch.batch,
-                                batch.member,
-                                &implicated_full,
-                                worst,
-                                "remap",
-                                &format!(
-                                    " quarantined={quarantined_banks} \
-                                     remapped={remapped_rings} unplaced={unplaced_rings}"
-                                ),
-                            );
-                            o.remap_applied(
-                                *quarantined_banks,
-                                *remapped_rings,
-                                *unplaced_rings,
-                                batch.member,
-                                spares,
-                            );
-                        }
-                        action
-                    }
-                    None => {
-                        member.remap_attempts += 1;
-                        if member.remap_attempts > policy.remap_retries {
-                            // Spares exhausted beyond patience and a
-                            // healthy peer exists: fail over.
-                            member.state = MemberState::Failed;
-                            if let Some(o) = &obs {
-                                o.implicate(
-                                    tick,
-                                    batch.batch,
-                                    batch.member,
-                                    &implicated_full,
-                                    worst,
-                                    "failover",
-                                    " reason=spares_exhausted",
-                                );
-                                o.failover();
-                            }
-                            ResponseAction::Failover
-                        } else {
-                            member.retry_after_batch = batch.batch
-                                + (policy.remap_backoff_batches << (member.remap_attempts - 1));
-                            if let Some(o) = &obs {
-                                o.implicate(
-                                    tick,
-                                    batch.batch,
-                                    batch.member,
-                                    &implicated_full,
-                                    worst,
-                                    "remap_failed",
-                                    &format!(
-                                        " attempts={} retry_after={}",
-                                        member.remap_attempts, member.retry_after_batch
-                                    ),
-                                );
-                                o.remap_retry();
-                            }
-                            ResponseAction::Alarm
-                        }
-                    }
-                }
-            }
-        } else {
-            // 3. Single-sensor stories: exactly one non-drop field of a
-            //    bank excursed — quarantine the *sensor*, flag
-            //    maintenance, spend no spares. The attribution threshold
-            //    is half the implication threshold: a detector already
-            //    fired, so *something* moved — a drifting readback alarms
-            //    while its z is still between the operating threshold and
-            //    `implicate_z`, and waiting for full implication would
-            //    burn the unlocalized-alarm patience on a benign sensor.
-            //    A sensor story can only explain a *guard-band* alarm:
-            //    the sentinel integrity channel and the drop-mean CUSUM
-            //    watch the computation itself (dead/stuck sentinels are
-            //    masked by the health screen before scoring), so when
-            //    either of those is the detector alarming, a broken
-            //    readback cannot be the cause and the alarm falls through
-            //    to the fail-secure path below.
-            let guard_only_alarm = member
-                .suite
-                .iter()
-                .zip(&batch.scores)
-                .zip(&policy.thresholds)
-                .all(|((d, &s), &t)| s <= t || d.name() == "guard_band");
-            let sensor_z = policy.implicate_z * 0.5;
-            let mut suspects: Vec<(BlockKind, usize, SensorChannel)> = Vec::new();
-            if guard_only_alarm {
-                for &(kind, bank, zs) in &fields {
-                    let hot: Vec<usize> = (0..4).filter(|&f| zs[f] >= sensor_z).collect();
-                    if let [field] = hot.as_slice() {
-                        if *field != 0 {
-                            suspects.push((kind, bank, FIELD_CHANNELS[*field]));
-                        }
-                    }
-                }
-            }
-            if suspects.is_empty() {
-                // 4. Unlocalized alarm: patience, then failover.
-                member.unlocalized_alarms += 1;
-                let failing =
-                    member.unlocalized_alarms >= policy.unlocalized_patience && healthy_peers > 0;
-                if let Some(o) = &obs {
-                    o.unlocalized(
-                        tick,
-                        batch.batch,
-                        batch.member,
-                        member.unlocalized_alarms,
-                        worst,
-                        if failing { "failover" } else { "alarm" },
-                    );
-                }
-                if failing {
-                    member.state = MemberState::Failed;
-                    ResponseAction::Failover
-                } else {
-                    ResponseAction::Alarm
-                }
-            } else {
-                if let Some(o) = &obs {
-                    o.sensor_quarantine(tick, batch.batch, batch.member, &suspects, worst);
-                }
-                for &(kind, index, channel) in &suspects {
-                    member.screen.quarantine_channel(kind, index, channel);
-                    if !member.flagged.contains(&(kind, index, channel)) {
-                        member.flagged.push((kind, index, channel));
-                    }
-                }
-                if member.state == MemberState::Healthy {
-                    member.state = MemberState::Suspect;
-                }
-                for d in &mut member.suite {
-                    d.reset();
-                }
-                ResponseAction::Maintenance {
-                    masked_channels: batch.masked.len() + suspects.len(),
-                }
-            }
-        };
-        events.push(PolicyEvent {
-            batch: batch.batch,
-            member: batch.member,
-            score: worst,
-            action,
-        });
         Ok(())
     }
 }
@@ -1712,6 +1776,34 @@ mod tests {
         (Fleet::new(members, policy).unwrap(), requests(96))
     }
 
+    /// `(quarantined banks, remapped rings, unplaced rings)` of a remap.
+    fn remap_of(e: &PolicyEvent) -> Option<(usize, usize, usize)> {
+        match e.decision {
+            Decision::Implicate {
+                disposition:
+                    Disposition::Remap {
+                        quarantined_banks,
+                        remapped_rings,
+                        unplaced_rings,
+                        ..
+                    },
+                ..
+            } => Some((quarantined_banks, remapped_rings, unplaced_rings)),
+            _ => None,
+        }
+    }
+
+    /// Whether the event took the member out of the routing set for good.
+    fn is_failover(e: &PolicyEvent) -> bool {
+        matches!(
+            e.decision,
+            Decision::Implicate {
+                disposition: Disposition::Failover,
+                ..
+            } | Decision::Unlocalized { failover: true, .. }
+        )
+    }
+
     /// Park every ring of FC bank 0 — a localized, devastating compromise.
     fn bank0_attack() -> ConditionMap {
         let mut map = ConditionMap::new();
@@ -1775,20 +1867,11 @@ mod tests {
         let remap = out
             .events
             .iter()
-            .find(|e| matches!(e.action, ResponseAction::Remap { .. }))
+            .find(|e| remap_of(e).is_some())
             .expect("no remap event");
         assert_eq!(remap.member, 0);
         assert!(remap.batch >= 4);
-        if let ResponseAction::Remap {
-            quarantined_banks,
-            remapped_rings,
-            unplaced_rings,
-        } = remap.action
-        {
-            assert_eq!(quarantined_banks, 1);
-            assert_eq!(remapped_rings, 8);
-            assert_eq!(unplaced_rings, 0);
-        }
+        assert_eq!(remap_of(remap), Some((1, 8, 0)));
         assert_eq!(fleet.members()[0].remediations(), 1);
         assert!(fleet.members()[0].serves());
         // Post-recovery traffic is answered correctly again.
@@ -1857,7 +1940,7 @@ mod tests {
         let failover = out
             .events
             .iter()
-            .find(|e| matches!(e.action, ResponseAction::Failover))
+            .find(|e| is_failover(e))
             .expect("no failover event");
         assert_eq!(failover.member, 0);
         assert!(!fleet.members()[0].serves());
@@ -1894,7 +1977,7 @@ mod tests {
         let failover = out
             .events
             .iter()
-            .find(|e| matches!(e.action, ResponseAction::Failover))
+            .find(|e| is_failover(e))
             .expect("no failover event");
         // ...but the last member must NOT fail over into an empty routing
         // set: it takes the partial-remap graceful-degradation branch
@@ -1902,14 +1985,7 @@ mod tests {
         let partial = out
             .events
             .iter()
-            .find(|e| {
-                matches!(
-                    e.action,
-                    ResponseAction::Remap {
-                        unplaced_rings, ..
-                    } if unplaced_rings > 0
-                )
-            })
+            .find(|e| remap_of(e).is_some_and(|(_, _, unplaced)| unplaced > 0))
             .expect("no partial remap event");
         assert_ne!(partial.member, failover.member);
         assert_eq!(fleet.active_members(), 1);
@@ -1948,15 +2024,14 @@ mod tests {
         assert!(
             out.events
                 .iter()
-                .any(|e| matches!(e.action, ResponseAction::Maintenance { masked_channels } if masked_channels > 0)),
+                .any(|e| matches!(e.decision, Decision::SensorMask { total_masked, .. } if total_masked > 0)),
             "no maintenance event: {:?}",
             out.events
         );
         assert!(
-            !out.events.iter().any(|e| matches!(
-                e.action,
-                ResponseAction::Remap { .. } | ResponseAction::Failover
-            )),
+            !out.events
+                .iter()
+                .any(|e| remap_of(e).is_some() || is_failover(e)),
             "benign sensor fault spent spares: {:?}",
             out.events
         );
@@ -1994,12 +2069,12 @@ mod tests {
         let crash = out
             .events
             .iter()
-            .find(|e| matches!(e.action, ResponseAction::Crash))
+            .find(|e| matches!(e.decision, Decision::Crash { .. }))
             .expect("no crash event");
         let recover = out
             .events
             .iter()
-            .find(|e| matches!(e.action, ResponseAction::Recover))
+            .find(|e| matches!(e.decision, Decision::Recover { .. }))
             .expect("no recover event");
         assert_eq!(crash.member, 0);
         assert_eq!(recover.member, 0);
