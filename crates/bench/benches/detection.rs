@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use safelight::attack::{inject, AttackTarget, ScenarioSpec, VectorSpec};
 use safelight::detect::default_detectors;
 use safelight::models::{build_model, matched_accelerator, ModelKind};
-use safelight_onn::{ConditionMap, SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe};
+use safelight_onn::{ConditionMap, SentinelPlan, TelemetryFrame, TelemetryProbe};
 
 fn setup() -> (
     safelight_neuro::Network,
@@ -17,7 +17,7 @@ fn setup() -> (
     let bundle = build_model(ModelKind::Cnn1, 7).unwrap();
     let config = matched_accelerator(ModelKind::Cnn1).unwrap();
     let mapping = safelight_onn::WeightMapping::new(&config, &bundle.layer_specs).unwrap();
-    let sentinels = SentinelPlan::new(&mapping, &config, 32, 0.7);
+    let sentinels = SentinelPlan::new(&mapping, &config, 32);
     (bundle.network, mapping, config, sentinels)
 }
 
@@ -30,17 +30,7 @@ fn bench_probe_construction(c: &mut Criterion) {
     )
     .unwrap();
     c.bench_function("telemetry_probe_new_cnn1_10pct", |b| {
-        b.iter(|| {
-            TelemetryProbe::new(
-                &network,
-                &mapping,
-                &attacked,
-                &config,
-                &sentinels,
-                TapConfig::default(),
-            )
-            .unwrap()
-        })
+        b.iter(|| TelemetryProbe::new(&network, &mapping, &attacked, &config, &sentinels).unwrap())
     });
 }
 
@@ -52,7 +42,6 @@ fn bench_frame_emission(c: &mut Criterion) {
         &ConditionMap::new(),
         &config,
         &sentinels,
-        TapConfig::default(),
     )
     .unwrap();
     let mut batch = 0u64;
@@ -72,7 +61,6 @@ fn bench_detector_scoring(c: &mut Criterion) {
         &ConditionMap::new(),
         &config,
         &sentinels,
-        TapConfig::default(),
     )
     .unwrap();
     let calibration: Vec<TelemetryFrame> = (0..32).map(|b| probe.frame(b, 1)).collect();
@@ -114,7 +102,7 @@ fn bench_probe_backends(c: &mut Criterion) {
     )
     .unwrap();
     let mapping = safelight_onn::WeightMapping::new(&config, &bundle.layer_specs).unwrap();
-    let sentinels = SentinelPlan::new(&mapping, &config, 8, 0.7);
+    let sentinels = SentinelPlan::new(&mapping, &config, 8);
     let attacked = inject(
         &ScenarioSpec::new(VectorSpec::Actuation, AttackTarget::Both, 0.10, 0),
         &config,
@@ -130,13 +118,7 @@ fn bench_probe_backends(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     backend
-                        .probe(
-                            &bundle.network,
-                            &mapping,
-                            &attacked,
-                            &sentinels,
-                            TapConfig::default(),
-                        )
+                        .probe(&bundle.network, &mapping, &attacked, &sentinels)
                         .unwrap()
                 })
             },

@@ -29,7 +29,7 @@ use safelight_neuro::Dataset;
 use safelight_obs::{set_profile_enabled, MetricsRegistry, SloSpec};
 use safelight_onn::{
     AcceleratorConfig, AnalyticBackend, BlockKind, ConditionMap, MrCondition, SentinelPlan,
-    TapConfig, TelemetryProbe, WeightMapping,
+    TelemetryProbe, WeightMapping,
 };
 use safelight_serve::eval::{operating_thresholds, run_rate_sweep, ServingOptions};
 use safelight_serve::report::rate_sweep_json;
@@ -52,14 +52,13 @@ fn setup() -> Setup {
     let bundle = build_model(ModelKind::Cnn1, 7).unwrap();
     let config = matched_accelerator(ModelKind::Cnn1).unwrap();
     let mapping = WeightMapping::new(&config, &bundle.layer_specs).unwrap();
-    let sentinels = SentinelPlan::new(&mapping, &config, 32, 0.7);
+    let sentinels = SentinelPlan::new(&mapping, &config, 32);
     let probe = TelemetryProbe::new(
         &bundle.network,
         &mapping,
         &ConditionMap::new(),
         &config,
         &sentinels,
-        TapConfig::default(),
     )
     .unwrap();
     let frames: Vec<_> = (0..32).map(|b| probe.frame(b, 0xBE7C)).collect();
@@ -69,7 +68,7 @@ fn setup() -> Setup {
     }
     let mut guard = safelight::detect::GuardBandDetector::default();
     guard.calibrate(&frames).unwrap();
-    let thresholds = operating_thresholds(&probe, &mut suite, 16, 24, 0.05, 0xBE7C);
+    let thresholds = operating_thresholds(&probe, &mut suite, 16, 24, 0xBE7C);
     let data = safelight_datasets::generate(
         dataset_kind_for(ModelKind::Cnn1),
         &SyntheticSpec {
@@ -109,9 +108,7 @@ fn make_fleet(s: &Setup, size: usize, policy: PolicyConfig) -> Fleet {
                 &s.network,
                 s.mapping.clone(),
                 Box::new(AnalyticBackend::new(&s.config)),
-                TapConfig::default(),
                 32,
-                0.7,
                 s.suite.iter().map(|d| d.clone_box()).collect(),
                 s.guard.clone(),
             )

@@ -1,9 +1,5 @@
 //! Attack-sweep throughput: a full `run_susceptibility` over the §IV
 //! scenario grid, serial versus fanned out across the worker pool.
-//!
-//! For the seed-kernel baseline quoted in `docs/perf.md`, run the same
-//! bench with `SAFELIGHT_GEMM_IMPL=reference`, which routes every matmul
-//! through the straight-ported seed loops.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safelight::attack::{AttackTarget, ScenarioSpec, Selection, VectorSpec};

@@ -122,6 +122,19 @@ pub trait Layer: Send + Sync {
         Vec::new()
     }
 
+    /// Mutable access to the layer's persistent non-trainable state, such
+    /// as batch-norm running statistics, in a fixed order (possibly
+    /// empty). Checkpoints save and restore these alongside the params.
+    fn buffers_mut(&mut self) -> Vec<&mut [f32]> {
+        Vec::new()
+    }
+
+    /// Shared access to the layer's persistent non-trainable state, in the
+    /// order of [`buffers_mut`](Self::buffers_mut) (possibly empty).
+    fn buffers(&self) -> Vec<&[f32]> {
+        Vec::new()
+    }
+
     /// Clones the layer into a boxed trait object (enables `Clone` for
     /// networks of heterogeneous layers).
     fn clone_box(&self) -> Box<dyn Layer>;

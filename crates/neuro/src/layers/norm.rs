@@ -231,6 +231,14 @@ impl Layer for BatchNorm2d {
         vec![&self.gamma, &self.beta]
     }
 
+    fn buffers_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![&mut self.running_mean, &mut self.running_var]
+    }
+
+    fn buffers(&self) -> Vec<&[f32]> {
+        vec![&self.running_mean, &self.running_var]
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

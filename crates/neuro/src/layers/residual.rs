@@ -178,6 +178,24 @@ impl Layer for ResidualBlock {
         params
     }
 
+    fn buffers_mut(&mut self) -> Vec<&mut [f32]> {
+        let mut buffers = self.bn1.buffers_mut();
+        buffers.extend(self.bn2.buffers_mut());
+        if let Some((_, bn)) = &mut self.shortcut {
+            buffers.extend(bn.buffers_mut());
+        }
+        buffers
+    }
+
+    fn buffers(&self) -> Vec<&[f32]> {
+        let mut buffers = self.bn1.buffers();
+        buffers.extend(self.bn2.buffers());
+        if let Some((_, bn)) = &self.shortcut {
+            buffers.extend(bn.buffers());
+        }
+        buffers
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

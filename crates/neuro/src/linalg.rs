@@ -18,22 +18,20 @@
 //!
 //! # Kernel tiers
 //!
-//! Which micro-kernel runs is a three-way dispatch, resolved once per
-//! process (see [`GemmImpl`]):
+//! Three f32 kernel tiers exist (see [`GemmImpl`]):
 //!
 //! * `reference` — the straight-ported seed loop nests ([`mod@reference`]),
-//!   kept as the correctness oracle and benchmark baseline;
+//!   kept as the correctness oracle and benchmark baseline and reachable
+//!   only through [`matmul_with`];
 //! * `tiled` — the portable packed engine with the scalar `4×16` kernel;
 //! * `simd` — the packed engine with an explicit FMA micro-kernel from
 //!   the private `simd` module (`6×16` AVX2+FMA or `6×32` AVX-512F,
-//!   chosen by runtime CPU detection; unavailable ISAs fall back to
-//!   `tiled`).
+//!   chosen by runtime CPU detection).
 //!
-//! The `SAFELIGHT_GEMM_IMPL` environment variable pins the dispatch
-//! (`reference` / `tiled` / `simd` / `auto`); the default `auto` picks
-//! `simd` whenever the machine supports it. Every entry point also bumps a
-//! per-kernel-class counter ([`kernel_stats`]) so a run can report which
-//! kernels actually executed.
+//! The public entry points run `simd` whenever the CPU has a supported
+//! vector ISA and `tiled` otherwise ([`GemmImpl::active`]). Every entry
+//! point also bumps a per-kernel-class counter ([`kernel_stats`]) so a run
+//! can report which kernels actually executed.
 //!
 //! Large products are additionally split across the shared worker pool
 //! ([`crate::parallel`]) by row block. Each task writes a disjoint row
@@ -57,31 +55,28 @@ use safelight_obs::profile_span_class;
 #[path = "linalg_int.rs"]
 pub mod int;
 
-/// Cache-blocking tile sizes, fixed at first use.
+/// Cache-blocking tile sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmConfig {
+struct GemmConfig {
     /// Rows of A packed per block (rounded up to the micro-kernel's `MR`).
-    pub mc: usize,
+    mc: usize,
     /// Depth of the packed A/B panels.
-    pub kc: usize,
+    kc: usize,
     /// Columns of B packed per panel (rounded up to the micro-kernel's
     /// `NR`).
-    pub nc: usize,
+    nc: usize,
 }
 
-impl Default for GemmConfig {
-    fn default() -> Self {
-        // Sized for the ubiquitous 32 KiB L1 / ≥256 KiB L2 class of x86-64
-        // and ARM cores: the KC×NR B micro-panel (256·16·4 B = 16 KiB)
-        // fits L1 alongside the A micro-panel (256·6·4 B = 6 KiB); the
-        // MC×KC packed A block (≈128·256·4 B = 128 KiB) fits L2.
-        Self {
-            mc: 128,
-            kc: 256,
-            nc: 1024,
-        }
-    }
-}
+/// The tile sizes every GEMM runs with, sized for the ubiquitous 32 KiB
+/// L1 / ≥256 KiB L2 class of x86-64 and ARM cores: the KC×NR B
+/// micro-panel (256·16·4 B = 16 KiB) fits L1 alongside the A micro-panel
+/// (256·6·4 B = 6 KiB); the MC×KC packed A block (≈128·256·4 B = 128 KiB)
+/// fits L2. Values are rounded per kernel at use.
+const TILES: GemmConfig = GemmConfig {
+    mc: 128,
+    kc: 256,
+    nc: 1024,
+};
 
 impl GemmConfig {
     /// Rounds the configuration to legal multiples of a micro-kernel's
@@ -93,44 +88,20 @@ impl GemmConfig {
             nc: self.nc.max(nr).div_ceil(nr) * nr,
         }
     }
-
-    /// The active configuration: the compiled default unless overridden at
-    /// startup through `SAFELIGHT_GEMM_MC` / `_KC` / `_NC` (useful for
-    /// re-tuning on machines with unusual cache hierarchies without a
-    /// rebuild). Values are rounded per kernel at use.
-    #[must_use]
-    pub fn active() -> Self {
-        static ACTIVE: std::sync::OnceLock<GemmConfig> = std::sync::OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            let env = |name: &str, fallback: usize| {
-                std::env::var(name)
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or(fallback)
-            };
-            let d = GemmConfig::default();
-            GemmConfig {
-                mc: env("SAFELIGHT_GEMM_MC", d.mc),
-                kc: env("SAFELIGHT_GEMM_KC", d.kc),
-                nc: env("SAFELIGHT_GEMM_NC", d.nc),
-            }
-        })
-    }
 }
 
-/// The f32 kernel-tier selector behind `SAFELIGHT_GEMM_IMPL`.
+/// The f32 kernel tiers.
 ///
-/// | value                | kernel                                        |
-/// |----------------------|-----------------------------------------------|
-/// | `reference`          | straight-ported seed loops ([`mod@reference`])|
-/// | `tiled` (or `scalar`)| packed engine, portable `4×16` kernel         |
-/// | `simd`               | packed engine, FMA kernel (falls back to `tiled` when the CPU lacks AVX2+FMA) |
-/// | `auto` (or unset)    | `simd` when available, else `tiled`           |
+/// | tier        | kernel                                                  |
+/// |-------------|---------------------------------------------------------|
+/// | `reference` | straight-ported seed loops ([`mod@reference`]); bench and test baseline only, via [`matmul_with`] |
+/// | `tiled`     | packed engine, portable `4×16` kernel                   |
+/// | `simd`      | packed engine, FMA kernel (scalar when the CPU lacks AVX2+FMA) |
 ///
-/// The lookup and CPU detection happen exactly once (first GEMM call);
-/// every later call pays only the `OnceLock` fast path, and the resolved
-/// tier is global — it cannot differ between worker threads, so results
-/// are bitwise stable across thread counts for every tier.
+/// The production entry points dispatch to [`GemmImpl::active`]: `simd`
+/// when available, else `tiled`. CPU detection happens exactly once (first
+/// GEMM call), and the resolved tier is global — it cannot differ between
+/// worker threads, so results are bitwise stable across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmImpl {
     /// The straight-ported seed loop nests.
@@ -178,28 +149,17 @@ impl GemmImpl {
         }
     }
 
-    /// The tier every public GEMM entry point dispatches to, resolved once
-    /// from `SAFELIGHT_GEMM_IMPL` plus CPU feature detection.
+    /// The tier every public GEMM entry point dispatches to: `Simd` when
+    /// the CPU has a supported vector ISA, `Tiled` otherwise — never
+    /// `Reference`. Resolved once per process.
     #[must_use]
     pub fn active() -> Self {
         static ACTIVE: std::sync::OnceLock<GemmImpl> = std::sync::OnceLock::new();
         *ACTIVE.get_or_init(|| {
-            let simd_or_tiled = || {
-                if GemmImpl::Simd.is_available() {
-                    GemmImpl::Simd
-                } else {
-                    GemmImpl::Tiled
-                }
-            };
-            match std::env::var("SAFELIGHT_GEMM_IMPL") {
-                Ok(v) if v.eq_ignore_ascii_case("reference") => GemmImpl::Reference,
-                Ok(v) if v.eq_ignore_ascii_case("tiled") || v.eq_ignore_ascii_case("scalar") => {
-                    GemmImpl::Tiled
-                }
-                // An explicit `simd` request on a machine without the ISA
-                // degrades to `tiled` (the kernel report records what ran).
-                Ok(v) if v.eq_ignore_ascii_case("simd") => simd_or_tiled(),
-                _ => simd_or_tiled(),
+            if GemmImpl::Simd.is_available() {
+                GemmImpl::Simd
+            } else {
+                GemmImpl::Tiled
             }
         })
     }
@@ -227,7 +187,8 @@ pub mod kernel_stats {
     /// One observable kernel class per dispatch outcome.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum KernelClass {
-        /// Seed reference loops (env-forced).
+        /// Seed reference loops (explicit [`matmul_with`](super::matmul_with)
+        /// baseline calls).
         Reference,
         /// Direct row-AXPY path for tiny A operands.
         Direct,
@@ -351,12 +312,6 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    let imp = GemmImpl::active();
-    if imp == GemmImpl::Reference {
-        let _span = profile_span_class("gemm_matmul", "reference");
-        kernel_stats::record(KernelClass::Reference);
-        return reference::matmul(a, b, c, m, k, n);
-    }
     gemm(
         m,
         k,
@@ -373,7 +328,7 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
         },
         c,
         "gemm_matmul",
-        imp,
+        GemmImpl::active(),
         true,
     );
 }
@@ -388,12 +343,6 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    let imp = GemmImpl::active();
-    if imp == GemmImpl::Reference {
-        let _span = profile_span_class("gemm_matmul_a_bt", "reference");
-        kernel_stats::record(KernelClass::Reference);
-        return reference::matmul_a_bt(a, b, c, m, k, n);
-    }
     gemm(
         m,
         k,
@@ -411,7 +360,7 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
         },
         c,
         "gemm_matmul_a_bt",
-        imp,
+        GemmImpl::active(),
         true,
     );
 }
@@ -426,12 +375,6 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    let imp = GemmImpl::active();
-    if imp == GemmImpl::Reference {
-        let _span = profile_span_class("gemm_matmul_at_b", "reference");
-        kernel_stats::record(KernelClass::Reference);
-        return reference::matmul_at_b(a, b, c, m, k, n);
-    }
     gemm(
         m,
         k,
@@ -449,18 +392,18 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
         },
         c,
         "gemm_matmul_at_b",
-        imp,
+        GemmImpl::active(),
         true,
     );
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]` through an explicitly chosen kernel tier,
-/// ignoring `SAFELIGHT_GEMM_IMPL` and the tiny-operand direct path.
+/// bypassing the active-tier dispatch and the tiny-operand direct path.
 ///
 /// This is the benchmark/test entry point: per-kernel rows in
 /// `BENCH_gemm.json` and the cross-kernel agreement proptests need to run
-/// a *specific* tier regardless of environment. A `Simd` request on a
-/// machine without a vector ISA degrades to the scalar kernel (check
+/// a *specific* tier, the `Reference` baseline included. A `Simd` request
+/// on a machine without a vector ISA degrades to the scalar kernel (check
 /// [`GemmImpl::is_available`] first when that matters).
 ///
 /// # Panics
@@ -547,7 +490,7 @@ fn gemm(
         return;
     }
     let kern = imp.micro_kernel();
-    let cfg = GemmConfig::active().normalized_for(kern.mr(), kern.nr());
+    let cfg = TILES.normalized_for(kern.mr(), kern.nr());
 
     // Row-block parallelism: worth it only for large products, and skipped
     // on pool workers — there the batch dimension above us is already
@@ -900,7 +843,7 @@ mod tests {
     #[test]
     fn every_kernel_tier_crosses_every_blocking_boundary() {
         // Dimensions straddling MR/NR/MC/KC/NC edges, including primes.
-        let cfg = GemmConfig::active();
+        let cfg = TILES;
         let dims = [
             (1, 1, 1),
             (3, 3, 15),
@@ -930,7 +873,7 @@ mod tests {
         // Big enough to trip the row-block parallel path: results must be
         // identical to the serial blocked path, call after call, for every
         // kernel tier.
-        let (m, k, n) = (3 * GemmConfig::active().mc + 7, 64, 96);
+        let (m, k, n) = (3 * TILES.mc + 7, 64, 96);
         let a = deterministic_matrix(m, k, 1.1);
         let b = deterministic_matrix(k, n, 2.2);
         for imp in [GemmImpl::Tiled, GemmImpl::Simd] {
@@ -953,7 +896,7 @@ mod tests {
                     cs: 1,
                 },
                 &mut c_serial,
-                GemmConfig::active().normalized_for(kern.mr(), kern.nr()),
+                TILES.normalized_for(kern.mr(), kern.nr()),
                 kern,
             );
             assert_eq!(
@@ -994,8 +937,14 @@ mod tests {
         } else {
             assert_eq!(simd.isa(), "scalar");
         }
-        // The active tier must itself be runnable.
-        assert!(GemmImpl::active().is_available());
+        // Production dispatch is the fastest runnable tier, never the
+        // reference baseline.
+        let expected = if simd.is_available() {
+            GemmImpl::Simd
+        } else {
+            GemmImpl::Tiled
+        };
+        assert_eq!(GemmImpl::active(), expected);
     }
 
     #[test]

@@ -116,6 +116,21 @@ impl Network {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
+    /// All persistent non-trainable buffers (batch-norm running
+    /// statistics), in layer order.
+    pub fn buffers_mut(&mut self) -> Vec<&mut [f32]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.buffers_mut())
+            .collect()
+    }
+
+    /// Shared view of all persistent non-trainable buffers, in layer order.
+    #[must_use]
+    pub fn buffers(&self) -> Vec<&[f32]> {
+        self.layers.iter().flat_map(|l| l.buffers()).collect()
+    }
+
     /// Clears all accumulated gradients.
     pub fn zero_grad(&mut self) {
         for p in self.params_mut() {

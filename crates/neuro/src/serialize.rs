@@ -1,17 +1,21 @@
-//! Flat binary save/load of network parameters.
+//! Flat binary save/load of network state.
 //!
 //! Trained model variants are cached on disk so the figure-reproduction
 //! binaries do not retrain on every run. The format is a simple
 //! little-endian stream — magic, version, a caller-supplied 64-bit
 //! configuration stamp, parameter count, then per parameter its rank,
-//! dimensions and `f32` data.
+//! dimensions and `f32` data, then buffer count and per buffer its length
+//! and `f32` data. Buffers are the layers' non-trainable state (batch-norm
+//! running statistics), without which an eval-mode forward of a reloaded
+//! network would differ from the network that was saved.
 //!
 //! The stamp exists so checkpoints are rejected — not silently loaded —
 //! when anything upstream of the weights changed: the caller hashes
 //! whatever configuration the weights depend on (training recipe, model
 //! layout, accelerator profile) and the loader compares stamps before
-//! touching any tensor data. Files written by format version 1 (which had
-//! no stamp) are rejected outright for the same reason.
+//! touching any tensor data. Files written by format versions 1 (which had
+//! no stamp) and 2 (which had no buffers) are rejected outright for the
+//! same reason.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -21,9 +25,9 @@ use crate::model::Network;
 use crate::NeuroError;
 
 const MAGIC: &[u8; 4] = b"SLNN";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
-/// Saves all parameter values of `network` to `path`.
+/// Saves all parameter and buffer values of `network` to `path`.
 ///
 /// # Errors
 ///
@@ -45,7 +49,7 @@ pub fn save_network_params<P: AsRef<Path>>(network: &Network, path: P) -> Result
     save_network_params_stamped(network, path, 0)
 }
 
-/// Saves all parameter values of `network` to `path`, recording `stamp` —
+/// Saves all parameter and buffer values of `network` to `path`, recording `stamp` —
 /// a caller-computed hash of every configuration the weights depend on —
 /// in the file header. [`load_network_params_stamped`] refuses to load the
 /// file under a different stamp.
@@ -75,11 +79,19 @@ pub fn save_network_params_stamped<P: AsRef<Path>>(
             w.write_all(&v.to_le_bytes())?;
         }
     }
+    let buffers = network.buffers();
+    w.write_all(&(buffers.len() as u32).to_le_bytes())?;
+    for b in buffers {
+        w.write_all(&(b.len() as u64).to_le_bytes())?;
+        for &v in b {
+            w.write_all(&v.to_le_bytes())?;
+        }
+    }
     w.flush()?;
     Ok(())
 }
 
-/// Loads parameter values from `path` into `network`.
+/// Loads parameter and buffer values from `path` into `network`.
 ///
 /// The network must already have the exact architecture the file was saved
 /// from — this function restores values, it does not build layers.
@@ -96,7 +108,7 @@ pub fn load_network_params<P: AsRef<Path>>(
     load_network_params_stamped(network, path, 0)
 }
 
-/// Loads parameter values from `path` into `network`, verifying that the
+/// Loads parameter and buffer values from `path` into `network`, verifying that the
 /// file was saved under configuration stamp `expected_stamp`.
 ///
 /// This is the cache-integrity gate: a checkpoint trained under an older
@@ -161,11 +173,32 @@ pub fn load_network_params_stamped<P: AsRef<Path>>(
                 ),
             });
         }
-        for v in param.value.as_mut_slice() {
-            let mut buf = [0u8; 4];
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
+        read_f32s(&mut r, param.value.as_mut_slice())?;
+    }
+    let count = read_u32(&mut r)? as usize;
+    let mut buffers = network.buffers_mut();
+    if buffers.len() != count {
+        return Err(NeuroError::MalformedModelFile {
+            context: format!("file has {count} buffers, network has {}", buffers.len()),
+        });
+    }
+    for (i, buffer) in buffers.iter_mut().enumerate() {
+        let len = read_u64(&mut r)?;
+        if len != buffer.len() as u64 {
+            return Err(NeuroError::MalformedModelFile {
+                context: format!("buffer {i}: file length {len} vs network {}", buffer.len()),
+            });
         }
+        read_f32s(&mut r, buffer)?;
+    }
+    Ok(())
+}
+
+fn read_f32s<R: Read>(r: &mut R, out: &mut [f32]) -> Result<(), NeuroError> {
+    for v in out {
+        let mut buf = [0u8; 4];
+        r.read_exact(&mut buf)?;
+        *v = f32::from_le_bytes(buf);
     }
     Ok(())
 }
@@ -185,7 +218,8 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, NeuroError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Relu};
+    use crate::layers::{BatchNorm2d, Linear, Relu, ResidualBlock};
+    use crate::Tensor;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -273,6 +307,49 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn version_two_files_are_rejected() {
+        // Version 2 carried no buffers, so a batch-norm network loaded from
+        // it would run eval forwards on default running statistics.
+        let path = tmp_path("v2");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"SLNN");
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let mut net = build_net(1);
+        let err = load_network_params(&mut net, &path).unwrap_err();
+        match err {
+            NeuroError::MalformedModelFile { context } => {
+                assert!(context.contains("unsupported version 2"), "{context}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn batch_norm_buffers_round_trip() {
+        let path = tmp_path("buffers");
+        let mut source = Network::new();
+        source.push(ResidualBlock::new(2, 3, 2, 7).unwrap());
+        source.push(BatchNorm2d::new(3).unwrap());
+        let x =
+            Tensor::from_vec(vec![2, 2, 4, 4], (0..64).map(|i| i as f32 / 9.0).collect()).unwrap();
+        source.forward(&x, true).unwrap();
+        save_network_params(&source, &path).unwrap();
+        let mut target = Network::new();
+        target.push(ResidualBlock::new(2, 3, 2, 8).unwrap());
+        target.push(BatchNorm2d::new(3).unwrap());
+        assert_ne!(source.buffers(), target.buffers());
+        load_network_params(&mut target, &path).unwrap();
+        // bn1, bn2 and the projection shortcut's norm, then the outer one.
+        assert_eq!(target.buffers().len(), 4 * 2);
+        assert_eq!(source.buffers(), target.buffers());
         std::fs::remove_file(path).ok();
     }
 

@@ -142,30 +142,25 @@ impl Drop for ProfileSpan {
 }
 
 /// Render the per-phase table as aligned text (the `repro --profile`
-/// output). Phases are sorted by self time, hottest first (name breaks
-/// ties), and each row carries its share of the total so the hot phase
-/// reads off the first line. Durations are wall clock; never commit this.
+/// output). Phases are sorted by inclusive time, hottest first (name
+/// breaks ties). Spans nest — `remap` runs inside `process_batch`, the
+/// `gemm_*` spans inside `serve_predict` — so a row's `incl_ms` counts its
+/// nested phases too, and the rows overlap rather than partition the run.
+/// Durations are wall clock; never commit this.
 pub fn render_table(phases: &[(String, PhaseStats)]) -> String {
     let mut rows: Vec<&(String, PhaseStats)> = phases.iter().collect();
     rows.sort_by(|(an, a), (bn, b)| b.total_ns.cmp(&a.total_ns).then_with(|| an.cmp(bn)));
-    let grand_total: u64 = rows.iter().map(|(_, s)| s.total_ns).sum();
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<36} {:>10} {:>14} {:>7} {:>12} {:>12} {:>12}\n",
-        "phase", "count", "total_ms", "pct", "mean_us", "min_us", "max_us"
+        "{:<36} {:>10} {:>14} {:>12} {:>12} {:>12}\n",
+        "phase", "count", "incl_ms", "mean_us", "min_us", "max_us"
     ));
     for (name, s) in rows {
-        let pct = if grand_total > 0 {
-            100.0 * s.total_ns as f64 / grand_total as f64
-        } else {
-            0.0
-        };
         out.push_str(&format!(
-            "{:<36} {:>10} {:>14.3} {:>6.1}% {:>12.2} {:>12.2} {:>12.2}\n",
+            "{:<36} {:>10} {:>14.3} {:>12.2} {:>12.2} {:>12.2}\n",
             name,
             s.count,
             s.total_ns as f64 / 1e6,
-            pct,
             s.mean_ns() as f64 / 1e3,
             s.min_ns as f64 / 1e3,
             s.max_ns as f64 / 1e3,
@@ -216,8 +211,8 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        // Deliberately listed cold-first: the renderer must sort by self
-        // time so the hot phase is the first data row.
+        // Deliberately listed cold-first: the renderer must sort by
+        // inclusive time so the hot phase is the first data row.
         let rows = vec![
             ("probe_sweep".to_string(), PhaseStats::default()),
             (
@@ -235,15 +230,13 @@ mod tests {
         assert!(table.contains("probe_sweep"));
         assert!(table.lines().count() == 3);
         let lines: Vec<&str> = table.lines().collect();
-        assert!(lines[0].contains("pct"));
+        assert!(lines[0].contains("incl_ms"));
+        // Overlapping inclusive totals have no meaningful share of a sum.
+        assert!(!table.contains('%'), "{table}");
         assert!(
             lines[1].starts_with("gemm_matmul/serial"),
             "hot phase first: {table}"
         );
-        assert!(
-            lines[1].contains("100.0%"),
-            "sole-cost phase is 100%: {table}"
-        );
-        assert!(lines[2].contains("0.0%"), "{table}");
+        assert!(lines[1].contains("2.000"), "inclusive ms: {table}");
     }
 }

@@ -56,7 +56,7 @@ use crate::datapath::OpticalVdp;
 use crate::executor::{corrupt_network_with, AnalyticRows, RowEvaluator};
 use crate::mapping::WeightMapping;
 use crate::response::{channel_power_factor, DropResponseModel};
-use crate::telemetry::{SentinelPlan, TapConfig, TelemetryProbe};
+use crate::telemetry::{SentinelPlan, TelemetryProbe};
 use crate::OnnError;
 
 /// A datapath implementation: how clean weights, a mapping and fault
@@ -111,7 +111,6 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         mapping: &WeightMapping,
         conditions: &ConditionMap,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
     ) -> Result<TelemetryProbe, OnnError>;
 
     /// Batched forward through a previously derived network → class
@@ -199,7 +198,6 @@ impl InferenceBackend for AnalyticBackend {
         mapping: &WeightMapping,
         conditions: &ConditionMap,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
     ) -> Result<TelemetryProbe, OnnError> {
         TelemetryProbe::new_with(
             clean,
@@ -207,7 +205,6 @@ impl InferenceBackend for AnalyticBackend {
             conditions,
             &self.config,
             sentinels,
-            tap,
             &self.model,
             None,
         )
@@ -308,7 +305,6 @@ impl InferenceBackend for PhysicalBackend {
         mapping: &WeightMapping,
         conditions: &ConditionMap,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
     ) -> Result<TelemetryProbe, OnnError> {
         // One single-channel VDP row provides the physically simulated
         // per-slot monitor response; the probe sweep drives it per slot.
@@ -334,7 +330,6 @@ impl InferenceBackend for PhysicalBackend {
             conditions,
             &self.config,
             sentinels,
-            tap,
             &self.model,
             Some(&mut response),
         )
@@ -466,7 +461,6 @@ impl InferenceBackend for QuantizedBackend {
         mapping: &WeightMapping,
         conditions: &ConditionMap,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
     ) -> Result<TelemetryProbe, OnnError> {
         let model = self.model;
         let steps = self.readout_steps;
@@ -482,7 +476,6 @@ impl InferenceBackend for QuantizedBackend {
             conditions,
             &self.config,
             sentinels,
-            tap,
             &self.model,
             Some(&mut response),
         )
@@ -685,17 +678,11 @@ mod tests {
     #[test]
     fn physical_probe_agrees_with_analytic_within_tolerance() {
         let (net, mapping, config) = fixture();
-        let sentinels = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let sentinels = SentinelPlan::new(&mapping, &config, 4);
         let conditions = attack();
         let probe = |backend: &dyn InferenceBackend| {
             backend
-                .probe(
-                    &net,
-                    &mapping,
-                    &conditions,
-                    &sentinels,
-                    TapConfig::default(),
-                )
+                .probe(&net, &mapping, &conditions, &sentinels)
                 .unwrap()
                 .noiseless(0)
         };

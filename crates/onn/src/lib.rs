@@ -83,6 +83,4 @@ pub use layout::BlockLayout;
 pub use mapping::{LayerSpec, MappedParam, RemapOutcome, WeightMapping};
 pub use power::{PowerBreakdown, PowerModel};
 pub use response::{channel_power_factor, DropResponseModel};
-pub use telemetry::{
-    BankTelemetry, SensorChannel, SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe,
-};
+pub use telemetry::{BankTelemetry, SensorChannel, SentinelPlan, TelemetryFrame, TelemetryProbe};

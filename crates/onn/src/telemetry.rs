@@ -42,34 +42,21 @@ use crate::OnnError;
 /// readout).
 pub(crate) type SlotResponseFn<'a> = &'a mut dyn FnMut(f64, MrCondition) -> Result<f64, OnnError>;
 
-/// Configuration of the optional sensor taps: which read-noise levels the
-/// monitor ADCs add, and how many sentinel rings are provisioned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TapConfig {
-    /// Read-noise σ of a bank's drop-port monitor, in normalized per-slot
-    /// response units (the noiseless reading lives in `[0, 1]`).
-    pub drop_noise: f64,
-    /// Read-noise σ of a bank's thermal sensor, kelvin.
-    pub temp_noise_kelvin: f64,
-    /// Read-noise σ of a bank's laser-rail readback (power fraction).
-    pub rail_noise: f64,
-    /// Read-noise σ of a bank's trim-DAC readback, nanometres.
-    pub trim_noise_nm: f64,
-    /// Read-noise σ of a sentinel magnitude readback.
-    pub sentinel_noise: f64,
-}
+/// Read-noise σ of a bank's drop-port monitor, in normalized per-slot
+/// response units (the noiseless reading lives in `[0, 1]`).
+const DROP_NOISE: f64 = 2e-3;
+/// Read-noise σ of a bank's thermal sensor, kelvin.
+const TEMP_NOISE_KELVIN: f64 = 0.02;
+/// Read-noise σ of a bank's laser-rail readback (power fraction).
+const RAIL_NOISE: f64 = 1e-3;
+/// Read-noise σ of a bank's trim-DAC readback, nanometres.
+const TRIM_NOISE_NM: f64 = 1e-3;
+/// Read-noise σ of a sentinel magnitude readback.
+const SENTINEL_NOISE: f64 = 2e-3;
 
-impl Default for TapConfig {
-    fn default() -> Self {
-        Self {
-            drop_noise: 2e-3,
-            temp_noise_kelvin: 0.02,
-            rail_noise: 1e-3,
-            trim_noise_nm: 1e-3,
-            sentinel_noise: 2e-3,
-        }
-    }
-}
+/// The known probe magnitude imprinted on every sentinel ring (normalized
+/// weight units, `[0, 1]`).
+const SENTINEL_MAGNITUDE: f64 = 0.7;
 
 /// One addressable sensor channel of a telemetry frame: the four bank-level
 /// taps plus the sentinel readbacks. The fault-injection and sensor-health
@@ -385,24 +372,18 @@ impl TelemetryFrame {
 pub struct SentinelPlan {
     conv: Vec<u64>,
     fc: Vec<u64>,
-    magnitude: f64,
 }
 
 impl SentinelPlan {
     /// Picks up to `per_block` evenly spaced sentinel sites per block from
     /// the rings left idle by `mapping`'s final reuse round, probing each
-    /// with the known magnitude `magnitude`.
+    /// with the known magnitude `SENTINEL_MAGNITUDE` (0.7).
     ///
     /// A fully utilized block (its last round fills every ring) gets no
     /// sentinels — the plan's coverage is honest about that limit; the
     /// drop-port and thermal taps still cover such blocks.
     #[must_use]
-    pub fn new(
-        mapping: &WeightMapping,
-        config: &AcceleratorConfig,
-        per_block: usize,
-        magnitude: f64,
-    ) -> Self {
+    pub fn new(mapping: &WeightMapping, config: &AcceleratorConfig, per_block: usize) -> Self {
         let sites_for = |kind: BlockKind| -> Vec<u64> {
             let cap = config.block(kind).total_mrs();
             let used = mapping.used_slots(kind);
@@ -419,12 +400,11 @@ impl SentinelPlan {
         Self {
             conv: sites_for(BlockKind::Conv),
             fc: sites_for(BlockKind::Fc),
-            magnitude: magnitude.clamp(0.0, 1.0),
         }
     }
 
     /// Builds a plan from explicit sentinel sites per block (sorted and
-    /// deduplicated here), probing each with magnitude `magnitude`.
+    /// deduplicated here), probing each with `SENTINEL_MAGNITUDE` (0.7).
     ///
     /// This is the constructor the serving runtime uses after a
     /// quarantine/remap cycle: the idle region computed from
@@ -433,16 +413,12 @@ impl SentinelPlan {
     /// [`WeightMapping::idle_slots`](crate::WeightMapping::idle_slots)
     /// instead.
     #[must_use]
-    pub fn on_sites(mut conv: Vec<u64>, mut fc: Vec<u64>, magnitude: f64) -> Self {
+    pub fn on_sites(mut conv: Vec<u64>, mut fc: Vec<u64>) -> Self {
         conv.sort_unstable();
         conv.dedup();
         fc.sort_unstable();
         fc.dedup();
-        Self {
-            conv,
-            fc,
-            magnitude: magnitude.clamp(0.0, 1.0),
-        }
+        Self { conv, fc }
     }
 
     /// The sentinel ring indices of `kind`'s block, ascending.
@@ -452,12 +428,6 @@ impl SentinelPlan {
             BlockKind::Conv => &self.conv,
             BlockKind::Fc => &self.fc,
         }
-    }
-
-    /// The probe magnitude imprinted on every sentinel.
-    #[must_use]
-    pub fn magnitude(&self) -> f64 {
-        self.magnitude
     }
 }
 
@@ -479,7 +449,6 @@ struct BlockMeans {
 /// slots per scenario instead of a full optical simulation per frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryProbe {
-    tap: TapConfig,
     conv: BlockMeans,
     fc: BlockMeans,
 }
@@ -500,11 +469,10 @@ impl TelemetryProbe {
         conditions: &ConditionMap,
         config: &AcceleratorConfig,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
     ) -> Result<Self, OnnError> {
         let model = DropResponseModel::from_config(config);
         Self::new_with(
-            network, mapping, conditions, config, sentinels, tap, &model, None,
+            network, mapping, conditions, config, sentinels, &model, None,
         )
     }
 
@@ -514,14 +482,12 @@ impl TelemetryProbe {
     /// analytic closed forms of the shared model apply — the fast path;
     /// backends pass `Some` to read each slot through their own physics
     /// (device simulation, finite-resolution monitor ADCs).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_with(
         network: &Network,
         mapping: &WeightMapping,
         conditions: &ConditionMap,
         config: &AcceleratorConfig,
         sentinels: &SentinelPlan,
-        tap: TapConfig,
         p: &DropResponseModel,
         mut response: Option<SlotResponseFn<'_>>,
     ) -> Result<Self, OnnError> {
@@ -603,7 +569,7 @@ impl TelemetryProbe {
             // bank monitor and the sentinel readback models of the same
             // physical ring consistent).
             let sentinel_sites = sentinels.sites(kind);
-            let m_sentinel = p.quantize(sentinels.magnitude());
+            let m_sentinel = p.quantize(SENTINEL_MAGNITUDE);
             // After a quarantine/remap cycle the mapping relocates logical
             // rings onto physical spares; the sweep below walks logical
             // slots (so the monotone layer cursor keeps working) and
@@ -683,7 +649,7 @@ impl TelemetryProbe {
                 .collect();
             // Sentinel readback: the decoded magnitude of the known probe
             // weight on each sentinel ring, through the same physics.
-            let m = p.quantize(sentinels.magnitude());
+            let m = p.quantize(SENTINEL_MAGNITUDE);
             let mut readbacks = Vec::with_capacity(sentinels.sites(kind).len());
             for &ring in sentinels.sites(kind) {
                 let cond = conditions.condition(kind, ring);
@@ -700,16 +666,9 @@ impl TelemetryProbe {
         };
 
         Ok(Self {
-            tap,
             conv: means_for(BlockKind::Conv)?,
             fc: means_for(BlockKind::Fc)?,
         })
-    }
-
-    /// The tap configuration this probe emits frames with.
-    #[must_use]
-    pub fn tap(&self) -> &TapConfig {
-        &self.tap
     }
 
     /// The noiseless frame (sensor means) for batch `batch`.
@@ -734,15 +693,15 @@ impl TelemetryProbe {
         let mut frame = self.noiseless(batch);
         for banks in [&mut frame.conv, &mut frame.fc] {
             for b in banks.iter_mut() {
-                b.drop_current += rng.gaussian_with(0.0, self.tap.drop_noise);
-                b.delta_kelvin += rng.gaussian_with(0.0, self.tap.temp_noise_kelvin);
-                b.rail_power += rng.gaussian_with(0.0, self.tap.rail_noise);
-                b.trim_offset_nm += rng.gaussian_with(0.0, self.tap.trim_noise_nm);
+                b.drop_current += rng.gaussian_with(0.0, DROP_NOISE);
+                b.delta_kelvin += rng.gaussian_with(0.0, TEMP_NOISE_KELVIN);
+                b.rail_power += rng.gaussian_with(0.0, RAIL_NOISE);
+                b.trim_offset_nm += rng.gaussian_with(0.0, TRIM_NOISE_NM);
             }
         }
         for sentinels in [&mut frame.conv_sentinels, &mut frame.fc_sentinels] {
             for s in sentinels.iter_mut() {
-                *s += rng.gaussian_with(0.0, self.tap.sentinel_noise);
+                *s += rng.gaussian_with(0.0, SENTINEL_NOISE);
             }
         }
         frame
@@ -788,16 +747,8 @@ mod tests {
 
     fn probe(conditions: &ConditionMap) -> TelemetryProbe {
         let (net, mapping, config) = setup();
-        let sentinels = SentinelPlan::new(&mapping, &config, 4, 0.7);
-        TelemetryProbe::new(
-            &net,
-            &mapping,
-            conditions,
-            &config,
-            &sentinels,
-            TapConfig::default(),
-        )
-        .unwrap()
+        let sentinels = SentinelPlan::new(&mapping, &config, 4);
+        TelemetryProbe::new(&net, &mapping, conditions, &config, &sentinels).unwrap()
     }
 
     #[test]
@@ -866,7 +817,7 @@ mod tests {
     #[test]
     fn sentinels_read_their_probe_weight_until_attacked() {
         let (_, mapping, config) = setup();
-        let plan = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let plan = SentinelPlan::new(&mapping, &config, 4);
         // The FC block is fully used (16 slots = 16 rings): no sentinels.
         assert!(plan.sites(BlockKind::Fc).is_empty());
         // The idle CONV block hosts them all.
@@ -906,7 +857,7 @@ mod tests {
         assert_ne!(a, c);
         let noiseless = p.noiseless(5);
         for (x, y) in a.fc.iter().zip(&noiseless.fc) {
-            assert!((x.drop_current - y.drop_current).abs() < 10.0 * p.tap().drop_noise);
+            assert!((x.drop_current - y.drop_current).abs() < 10.0 * DROP_NOISE);
         }
     }
 
@@ -1010,26 +961,18 @@ mod tests {
         let (net, _, config) = setup();
         let wrong =
             WeightMapping::new(&config, &[LayerSpec::new("fc", BlockKind::Fc, 99)]).unwrap();
-        let plan = SentinelPlan::new(&wrong, &config, 4, 0.7);
+        let plan = SentinelPlan::new(&wrong, &config, 4);
         assert!(matches!(
-            TelemetryProbe::new(
-                &net,
-                &wrong,
-                &ConditionMap::new(),
-                &config,
-                &plan,
-                TapConfig::default()
-            ),
+            TelemetryProbe::new(&net, &wrong, &ConditionMap::new(), &config, &plan),
             Err(OnnError::MappingMismatch { .. })
         ));
     }
 
     #[test]
     fn on_sites_sorts_and_dedups_for_binary_search() {
-        let plan = SentinelPlan::on_sites(vec![9, 2, 2, 5], vec![], 1.4);
+        let plan = SentinelPlan::on_sites(vec![9, 2, 2, 5], vec![]);
         assert_eq!(plan.sites(BlockKind::Conv), &[2, 5, 9]);
         assert!(plan.sites(BlockKind::Fc).is_empty());
-        assert_eq!(plan.magnitude(), 1.0); // clamped
     }
 
     #[test]
@@ -1056,17 +999,9 @@ mod tests {
         .unwrap();
         let mut mapping =
             WeightMapping::new(&config, &[LayerSpec::new("fc", BlockKind::Fc, 16)]).unwrap();
-        let sentinels = SentinelPlan::on_sites(Vec::new(), Vec::new(), 0.7);
+        let sentinels = SentinelPlan::on_sites(Vec::new(), Vec::new());
         let probe = |mapping: &WeightMapping, conditions: &ConditionMap| {
-            TelemetryProbe::new(
-                &net,
-                mapping,
-                conditions,
-                &config,
-                &sentinels,
-                TapConfig::default(),
-            )
-            .unwrap()
+            TelemetryProbe::new(&net, mapping, conditions, &config, &sentinels).unwrap()
         };
         let before = probe(&mapping, &ConditionMap::new()).noiseless(0);
         // Banks 0/1 carry the uniform 0.8 weights, banks 2/3 idle.
@@ -1098,18 +1033,11 @@ mod tests {
     #[test]
     fn out_of_range_conditions_are_rejected() {
         let (net, mapping, config) = setup();
-        let plan = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let plan = SentinelPlan::new(&mapping, &config, 4);
         let mut conditions = ConditionMap::new();
         conditions.set(BlockKind::Fc, 999, MrCondition::Parked);
         assert!(matches!(
-            TelemetryProbe::new(
-                &net,
-                &mapping,
-                &conditions,
-                &config,
-                &plan,
-                TapConfig::default()
-            ),
+            TelemetryProbe::new(&net, &mapping, &conditions, &config, &plan),
             Err(OnnError::MrOutOfRange { .. })
         ));
     }

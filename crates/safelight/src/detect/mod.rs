@@ -145,7 +145,7 @@ pub(crate) mod testutil {
     use safelight_neuro::{Flatten, Layer, Linear, Network, Tensor};
     use safelight_onn::{
         AcceleratorConfig, BlockConfig, BlockKind, ConditionMap, LayerSpec, SentinelPlan,
-        TapConfig, TelemetryFrame, TelemetryProbe, WeightMapping,
+        TelemetryFrame, TelemetryProbe, WeightMapping,
     };
 
     /// A deterministic 16-weight FC setup with idle CONV rings hosting
@@ -175,7 +175,7 @@ pub(crate) mod testutil {
         .unwrap();
         let mapping =
             WeightMapping::new(&config, &[LayerSpec::new("fc", BlockKind::Fc, 16)]).unwrap();
-        let sentinels = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let sentinels = SentinelPlan::new(&mapping, &config, 4);
         (net, mapping, config, sentinels)
     }
 
@@ -186,15 +186,7 @@ pub(crate) mod testutil {
         seed: u64,
     ) -> Vec<TelemetryFrame> {
         let (net, mapping, config, sentinels) = fixture();
-        let probe = TelemetryProbe::new(
-            &net,
-            &mapping,
-            conditions,
-            &config,
-            &sentinels,
-            TapConfig::default(),
-        )
-        .unwrap();
+        let probe = TelemetryProbe::new(&net, &mapping, conditions, &config, &sentinels).unwrap();
         (0..count as u64).map(|b| probe.frame(b, seed)).collect()
     }
 

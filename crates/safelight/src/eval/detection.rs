@@ -22,8 +22,7 @@
 
 use safelight_neuro::Network;
 use safelight_onn::{
-    ConditionMap, InferenceBackend, SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe,
-    WeightMapping,
+    ConditionMap, InferenceBackend, SentinelPlan, TelemetryFrame, TelemetryProbe, WeightMapping,
 };
 
 use crate::attack::{fold, RingSalience, ScenarioSpec};
@@ -31,6 +30,18 @@ use crate::detect::Detector;
 use crate::eval::par_map;
 use crate::eval::susceptibility::{inject_all, needs_salience};
 use crate::SafelightError;
+
+/// Calibrated false-positive-rate target of every operating threshold: the
+/// detection evaluation's and the serving fleet's.
+const FPR_TARGET: f64 = 0.05;
+
+/// The rank k of the operating threshold among `clean_runs` attack-free
+/// run maxima sorted descending: the k-th largest keeps the calibrated
+/// false-positive rate strictly below the 5 % target.
+#[must_use]
+pub fn operating_rank(clean_runs: usize) -> usize {
+    ((FPR_TARGET * clean_runs as f64).floor() as usize).clamp(1, clean_runs)
+}
 
 /// Tuning knobs of the detection evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,14 +59,8 @@ pub struct DetectionOptions {
     pub attack_runs: usize,
     /// Threshold samples on the ROC curve (plus the two degenerate ends).
     pub threshold_points: usize,
-    /// Calibrated false-positive-rate target of the operating threshold.
-    pub fpr_target: f64,
-    /// Sensor tap configuration (read-noise levels).
-    pub tap: TapConfig,
     /// Sentinel rings provisioned per block.
     pub sentinels_per_block: usize,
-    /// Probe magnitude imprinted on sentinel rings.
-    pub sentinel_magnitude: f64,
 }
 
 impl Default for DetectionOptions {
@@ -67,10 +72,7 @@ impl Default for DetectionOptions {
             clean_runs: 40,
             attack_runs: 4,
             threshold_points: 12,
-            fpr_target: 0.05,
-            tap: TapConfig::default(),
             sentinels_per_block: 32,
-            sentinel_magnitude: 0.7,
         }
     }
 }
@@ -266,14 +268,9 @@ pub fn run_detection(
         });
     }
     let config = backend.config();
-    let sentinels = SentinelPlan::new(
-        mapping,
-        config,
-        opts.sentinels_per_block,
-        opts.sentinel_magnitude,
-    );
+    let sentinels = SentinelPlan::new(mapping, config, opts.sentinels_per_block);
     let clean_probe = backend
-        .probe(network, mapping, &ConditionMap::new(), &sentinels, opts.tap)
+        .probe(network, mapping, &ConditionMap::new(), &sentinels)
         .map_err(SafelightError::from)?;
 
     // Calibrate the suite once on a dedicated attack-free stream.
@@ -328,7 +325,7 @@ pub fn run_detection(
     let per_scenario: Vec<Result<Vec<RunScores>, SafelightError>> =
         par_map(injected, threads, |entry| {
             let probe = backend
-                .probe(network, mapping, &entry.conditions, &sentinels, opts.tap)
+                .probe(network, mapping, &entry.conditions, &sentinels)
                 .map_err(SafelightError::from)?;
             let spec_key = spec_stream_key(&entry.scenario);
             // One suite clone serves every run of this scenario via reset.
@@ -387,9 +384,7 @@ pub fn run_detection(
         // chosen so the calibrated FPR stays strictly below the target.
         let mut sorted_clean = clean_max[d].clone();
         sorted_clean.sort_by(|a, b| b.partial_cmp(a).expect("scores are finite"));
-        let k =
-            ((opts.fpr_target * opts.clean_runs as f64).floor() as usize).clamp(1, opts.clean_runs);
-        let op_threshold = sorted_clean[k - 1];
+        let op_threshold = sorted_clean[operating_rank(opts.clean_runs) - 1];
         operating.push(OperatingPoint {
             detector: name.clone(),
             threshold: op_threshold,
@@ -542,7 +537,7 @@ mod tests {
         }
         // Operating points respect the FPR target.
         for op in &report.operating {
-            assert!(op.fpr < quick_opts().fpr_target + 1e-12, "{op:?}");
+            assert!(op.fpr < FPR_TARGET + 1e-12, "{op:?}");
         }
     }
 

@@ -9,7 +9,8 @@ mod report;
 mod susceptibility;
 
 pub use detection::{
-    run_detection, CellSummary, DetectionOptions, DetectionReport, OperatingPoint, RocPoint,
+    operating_rank, run_detection, CellSummary, DetectionOptions, DetectionReport, OperatingPoint,
+    RocPoint,
 };
 pub use mitigation::{run_mitigation, MitigationReport, VariantOutcome};
 pub use recovery::{run_recovery, RecoveryInterval, RecoveryReport};

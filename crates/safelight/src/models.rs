@@ -530,6 +530,57 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_restore_eval_logits_bitwise() {
+        use safelight_neuro::{
+            load_network_params, save_network_params, InMemoryDataset, Trainer, TrainerConfig,
+        };
+        // Deterministic pseudo-image pixels in [0, 1).
+        let pixels = |len: usize, salt: usize| -> Vec<f32> {
+            (0..len)
+                .map(|j| ((j * 7 + salt * 31) % 13) as f32 / 13.0)
+                .collect()
+        };
+        let shapes = [
+            (ModelKind::Cnn1, vec![1, 28, 28]),
+            (ModelKind::ResNet18s, vec![3, 32, 32]),
+            (ModelKind::Vgg16s, vec![3, 64, 64]),
+        ];
+        for (kind, chw) in shapes {
+            let len: usize = chw.iter().product();
+            let images = (0..4)
+                .map(|i| Tensor::from_vec(chw.clone(), pixels(len, i)).unwrap())
+                .collect();
+            let data = InMemoryDataset::new(images, vec![0, 1, 2, 3]).unwrap();
+            let mut trained = build_model(kind, 5).unwrap().network;
+            Trainer::new(TrainerConfig {
+                epochs: 1,
+                batch_size: 2,
+                ..TrainerConfig::default()
+            })
+            .fit(&mut trained, &data)
+            .unwrap();
+
+            let path = std::env::temp_dir().join(format!(
+                "safelight-checkpoint-{kind}-{}.slnn",
+                std::process::id()
+            ));
+            save_network_params(&trained, &path).unwrap();
+            let mut loaded = build_model(kind, 6).unwrap().network;
+            load_network_params(&mut loaded, &path).unwrap();
+            std::fs::remove_file(&path).ok();
+
+            let mut shape = vec![2];
+            shape.extend(&chw);
+            let batch = Tensor::from_vec(shape, pixels(2 * len, 99)).unwrap();
+            let bits = |net: &mut safelight_neuro::Network| -> Vec<u32> {
+                let logits = net.forward(&batch, false).unwrap();
+                logits.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&mut trained), bits(&mut loaded), "{kind} logits");
+        }
+    }
+
+    #[test]
     fn table1_columns_are_consistent() {
         let rows = table1().unwrap();
         assert_eq!(rows.len(), 3);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use safelight::attack::{RingSalience, ScenarioSpec, Selection};
 use safelight::detect::{Detector, GuardBandDetector};
-use safelight::eval::{inject_all, InjectedScenario};
+use safelight::eval::{inject_all, operating_rank, InjectedScenario};
 use safelight::experiment::{workbench, ExperimentOptions, Fidelity, ModelWorkbench};
 use safelight::fault::{inject_fault, FaultSpec};
 use safelight::models::ModelKind;
@@ -35,8 +35,8 @@ use safelight_neuro::parallel::par_map;
 use safelight_neuro::{Dataset, Network};
 use safelight_obs::{percentile, MetricsRegistry, SloInput, SloSpec, SloVerdict};
 use safelight_onn::{
-    BlockKind, ConditionMap, InferenceBackend, SentinelPlan, TapConfig, TelemetryFrame,
-    TelemetryProbe, WeightMapping,
+    BlockKind, ConditionMap, InferenceBackend, SentinelPlan, TelemetryFrame, TelemetryProbe,
+    WeightMapping,
 };
 
 use crate::observe::{ObsArtifacts, ServeObserver};
@@ -61,29 +61,10 @@ pub struct ServingOptions {
     pub calibration_frames: usize,
     /// Attack-free replay runs behind the operating thresholds.
     pub clean_runs: usize,
-    /// Per-run false-positive-rate target of the thresholds.
-    pub fpr_target: f64,
-    /// Guard-band excursion (σ) that implicates a bank.
-    pub implicate_z: f64,
     /// Frames synthesized to re-baseline detectors after a remap.
     pub recalibration_frames: usize,
-    /// Consecutive unlocalized alarms before failing over anyway.
-    pub unlocalized_patience: usize,
-    /// Batches a crashed member spends restarting before cache recovery.
-    pub restart_batches: u64,
-    /// Failed remap attempts retried (with backoff) before failover.
-    pub remap_retries: usize,
-    /// Backoff after a failed remap attempt, doubled per failure.
-    pub remap_backoff_batches: u64,
-    /// Coherent rail excursion (σ) classifying an alarm as a supply
-    /// transient instead of a trojan.
-    pub rail_glitch_z: f64,
-    /// Sensor tap configuration.
-    pub tap: TapConfig,
     /// Sentinel rings provisioned per block.
     pub sentinels_per_block: usize,
-    /// Probe magnitude imprinted on sentinel rings.
-    pub sentinel_magnitude: f64,
     /// The arrival process replaying the stream through the request
     /// plane ([`ArrivalModel::Closed`] = the pre-request-plane closed
     /// loop: everything arrives before serving starts).
@@ -106,17 +87,8 @@ impl Default for ServingOptions {
             fleet_size: 2,
             calibration_frames: 48,
             clean_runs: 32,
-            fpr_target: 0.05,
-            implicate_z: 6.0,
             recalibration_frames: 32,
-            unlocalized_patience: 3,
-            restart_batches: 2,
-            remap_retries: 1,
-            remap_backoff_batches: 2,
-            rail_glitch_z: 4.0,
-            tap: TapConfig::default(),
             sentinels_per_block: 32,
-            sentinel_magnitude: 0.7,
             arrival: ArrivalModel::Closed,
             queue_capacity: 0,
             slo: None,
@@ -239,8 +211,8 @@ impl ServingReport {
 
 /// Calibrates per-detector operating thresholds: the k-th largest
 /// max-score over `clean_runs` attack-free replay runs of `frames` frames
-/// each, with k chosen so the per-run false-positive rate stays below
-/// `fpr_target` (the same rule `eval::detection` applies).
+/// each, with k from [`operating_rank`] (the rule `eval::detection`
+/// applies), so the per-run false-positive rate stays below the target.
 ///
 /// The suite is reused across runs via [`Detector::reset`] — no
 /// per-run reallocation.
@@ -250,7 +222,6 @@ pub fn operating_thresholds(
     suite: &mut [Box<dyn Detector>],
     clean_runs: usize,
     frames: usize,
-    fpr_target: f64,
     seed: u64,
 ) -> Vec<f64> {
     let clean_runs = clean_runs.max(1);
@@ -274,7 +245,7 @@ pub fn operating_thresholds(
     for d in suite.iter_mut() {
         d.reset();
     }
-    let k = ((fpr_target * clean_runs as f64).floor() as usize).clamp(1, clean_runs);
+    let k = operating_rank(clean_runs);
     maxima
         .into_iter()
         .map(|mut per| {
@@ -329,14 +300,9 @@ pub(crate) fn calibrate(
     opts: &ServingOptions,
     seed: u64,
 ) -> Result<CalibratedParts, SafelightError> {
-    let sentinels = SentinelPlan::new(
-        mapping,
-        backend.config(),
-        opts.sentinels_per_block,
-        opts.sentinel_magnitude,
-    );
+    let sentinels = SentinelPlan::new(mapping, backend.config(), opts.sentinels_per_block);
     let probe = backend
-        .probe(network, mapping, &ConditionMap::new(), &sentinels, opts.tap)
+        .probe(network, mapping, &ConditionMap::new(), &sentinels)
         .map_err(SafelightError::from)?;
     let cal_seed = fold(seed, 0xCA11_B8A7);
     let frames: Vec<TelemetryFrame> = (0..opts.calibration_frames as u64)
@@ -348,14 +314,7 @@ pub(crate) fn calibrate(
     }
     let mut guard = GuardBandDetector::default();
     guard.calibrate(&frames)?;
-    let thresholds = operating_thresholds(
-        &probe,
-        &mut suite,
-        opts.clean_runs,
-        opts.batches,
-        opts.fpr_target,
-        seed,
-    );
+    let thresholds = operating_thresholds(&probe, &mut suite, opts.clean_runs, opts.batches, seed);
     let names = suite.iter().map(|d| d.name().to_string()).collect();
     Ok(CalibratedParts {
         suite,
@@ -380,9 +339,7 @@ pub(crate) fn build_fleet(
         network,
         mapping.clone(),
         backend.clone_box(),
-        opts.tap,
         opts.sentinels_per_block,
-        opts.sentinel_magnitude,
         parts.suite.iter().map(|d| d.clone_box()).collect(),
         parts.guard.clone(),
     )?;
@@ -395,13 +352,7 @@ pub(crate) fn build_fleet(
     } else {
         PolicyConfig::baseline(parts.thresholds.clone())
     };
-    policy.implicate_z = opts.implicate_z;
     policy.recalibration_frames = opts.recalibration_frames;
-    policy.unlocalized_patience = opts.unlocalized_patience;
-    policy.restart_batches = opts.restart_batches;
-    policy.remap_retries = opts.remap_retries;
-    policy.remap_backoff_batches = opts.remap_backoff_batches;
-    policy.rail_glitch_z = opts.rail_glitch_z;
     Fleet::new(members, policy)
 }
 
@@ -739,12 +690,7 @@ where
     // Fault plans index sentinel readbacks by slot, so injection needs the
     // per-block sentinel population of the provisioning the members use.
     let sentinel_counts = {
-        let plan = SentinelPlan::new(
-            mapping,
-            backend.config(),
-            opts.sentinels_per_block,
-            opts.sentinel_magnitude,
-        );
+        let plan = SentinelPlan::new(mapping, backend.config(), opts.sentinels_per_block);
         (
             plan.sites(BlockKind::Conv).len(),
             plan.sites(BlockKind::Fc).len(),

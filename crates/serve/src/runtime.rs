@@ -22,7 +22,7 @@
 //!
 //! 1. **Implicate** — the guard-band detector's per-bank excursions
 //!    localize the compromise to the banks whose worst z-score exceeds
-//!    [`PolicyConfig::implicate_z`].
+//!    `IMPLICATE_Z`.
 //! 2. **Quarantine + remap** — every ring of the implicated banks is
 //!    retired and its parameters relocated onto the mapping's idle spare
 //!    rings ([`WeightMapping::remap_params`]); the quarantined rings are
@@ -54,7 +54,7 @@ use safelight_neuro::parallel::par_map;
 use safelight_neuro::{Network, Tensor};
 use safelight_obs::profile_span;
 use safelight_onn::{
-    BlockKind, ConditionMap, InferenceBackend, MrCondition, SensorChannel, SentinelPlan, TapConfig,
+    BlockKind, ConditionMap, InferenceBackend, MrCondition, SensorChannel, SentinelPlan,
     TelemetryFrame, TelemetryProbe, WeightMapping,
 };
 
@@ -66,37 +66,38 @@ use crate::scheduler::{AdmissionQueue, Request, RequestOutcome};
 /// recalibration windows and scenario replays.
 pub(crate) use safelight::attack::fold;
 
-/// Knobs of the closed-loop response policy.
+/// Guard-band excursion (in σ) above which a bank is implicated and
+/// quarantined.
+pub(crate) const IMPLICATE_Z: f64 = 6.0;
+/// Consecutive unlocalized alarms tolerated before the member fails over
+/// anyway (a persistent alarm the guard bands cannot pin down).
+pub(crate) const UNLOCALIZED_PATIENCE: usize = 3;
+/// Batches a crashed member spends in [`MemberState::Restarting`] before
+/// cache recovery brings it back into the routing set.
+pub const RESTART_BATCHES: u64 = 2;
+/// Failed remap attempts retried (with backoff) before the member fails
+/// over.
+pub(crate) const REMAP_RETRIES: usize = 1;
+/// Batches to back off after a failed remap attempt (doubled per
+/// consecutive failure).
+pub(crate) const REMAP_BACKOFF_BATCHES: u64 = 2;
+/// Coherent rail excursion (in σ, per [`GuardBandDetector::coherent_rail_shift`])
+/// above which an alarm is classified as a supply-side transient
+/// (maintenance) instead of a trojan: a glitch dims every bank of a block
+/// at once, a tap on a fraction of the rings cannot.
+pub(crate) const RAIL_GLITCH_Z: f64 = 4.0;
+
+/// Knobs of the closed-loop response policy. The rule parameters no
+/// workload varies are constants of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyConfig {
     /// Per-detector alarm thresholds, aligned with the member suites'
     /// detector order (calibrated so the per-run false-positive rate stays
     /// below a target; see [`crate::eval::operating_thresholds`]).
     pub thresholds: Vec<f64>,
-    /// Guard-band excursion (in σ) above which a bank is implicated and
-    /// quarantined.
-    pub implicate_z: f64,
     /// Frames synthesized from the post-remediation probe to re-baseline
     /// the detectors after a remap.
     pub recalibration_frames: usize,
-    /// Consecutive unlocalized alarms tolerated before the member fails
-    /// over anyway (a persistent alarm the guard bands cannot pin down).
-    pub unlocalized_patience: usize,
-    /// Batches a crashed member spends in [`MemberState::Restarting`]
-    /// before cache recovery brings it back into the routing set.
-    pub restart_batches: u64,
-    /// Failed remap attempts retried (with backoff) before the member
-    /// fails over. 0 restores the pre-fault-tolerance behaviour of failing
-    /// over on the first exhausted spare pool.
-    pub remap_retries: usize,
-    /// Batches to back off after a failed remap attempt (doubled per
-    /// consecutive failure).
-    pub remap_backoff_batches: u64,
-    /// Coherent rail excursion (in σ, per [`GuardBandDetector::coherent_rail_shift`])
-    /// above which an alarm is classified as a supply-side transient
-    /// (maintenance) instead of a trojan: a glitch dims every bank of a
-    /// block at once, a tap on a fraction of the rings cannot.
-    pub rail_glitch_z: f64,
     /// Whether the response policy acts on alarms at all (`false` = the
     /// no-response baseline: detection still scores, nothing reacts).
     pub respond: bool,
@@ -113,13 +114,7 @@ impl PolicyConfig {
     pub fn new(thresholds: Vec<f64>) -> Self {
         Self {
             thresholds,
-            implicate_z: 6.0,
             recalibration_frames: 32,
-            unlocalized_patience: 3,
-            restart_batches: 2,
-            remap_retries: 1,
-            remap_backoff_batches: 2,
-            rail_glitch_z: 4.0,
             respond: true,
             inline_detection: true,
         }
@@ -158,7 +153,7 @@ pub enum MemberState {
     Suspect,
     /// Crashed: out of the routing set while cache recovery re-derives the
     /// member's state; returns to the routing set after
-    /// [`PolicyConfig::restart_batches`].
+    /// [`RESTART_BATCHES`].
     Restarting,
     /// Failed over: out of the routing set for good.
     Failed,
@@ -417,8 +412,6 @@ pub struct FleetMember {
     effective: Network,
     probe: TelemetryProbe,
     sentinels: SentinelPlan,
-    sentinel_magnitude: f64,
-    tap: TapConfig,
     suite: Vec<Box<dyn Detector>>,
     guard: GuardBandDetector,
     state: MemberState,
@@ -509,27 +502,19 @@ impl FleetMember {
     /// # Errors
     ///
     /// Propagates mapping/derivation errors.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
         network: &Network,
         mapping: WeightMapping,
         backend: Box<dyn InferenceBackend>,
-        tap: TapConfig,
         sentinels_per_block: usize,
-        sentinel_magnitude: f64,
         mut suite: Vec<Box<dyn Detector>>,
         guard: GuardBandDetector,
     ) -> Result<Self, SafelightError> {
-        let sentinels = SentinelPlan::new(
-            &mapping,
-            backend.config(),
-            sentinels_per_block,
-            sentinel_magnitude,
-        );
+        let sentinels = SentinelPlan::new(&mapping, backend.config(), sentinels_per_block);
         let effective = backend.derive_network(network, &mapping, &ConditionMap::new())?;
         let probe = backend
-            .probe(network, &mapping, &ConditionMap::new(), &sentinels, tap)
+            .probe(network, &mapping, &ConditionMap::new(), &sentinels)
             .map_err(SafelightError::from)?;
         for d in &mut suite {
             d.reset();
@@ -554,8 +539,6 @@ impl FleetMember {
             effective,
             probe,
             sentinels,
-            sentinel_magnitude,
-            tap,
             suite,
             guard,
             state: MemberState::Healthy,
@@ -594,8 +577,6 @@ impl FleetMember {
             effective: self.effective.clone(),
             probe: self.probe.clone(),
             sentinels: self.sentinels.clone(),
-            sentinel_magnitude: self.sentinel_magnitude,
-            tap: self.tap,
             suite: self.suite.clone(),
             guard: self.guard.clone(),
             state: self.state,
@@ -721,20 +702,13 @@ impl FleetMember {
         self.sentinels = SentinelPlan::on_sites(
             surviving_sites(BlockKind::Conv),
             surviving_sites(BlockKind::Fc),
-            self.sentinel_magnitude,
         );
         self.effective = self
             .backend
             .derive_network(&self.clean, &self.mapping, &conditions)?;
         self.probe = self
             .backend
-            .probe(
-                &self.clean,
-                &self.mapping,
-                &conditions,
-                &self.sentinels,
-                self.tap,
-            )
+            .probe(&self.clean, &self.mapping, &conditions, &self.sentinels)
             .map_err(SafelightError::from)?;
         Ok(())
     }
@@ -943,7 +917,6 @@ impl FleetMember {
                 &self.mapping,
                 &ConditionMap::new(),
                 &self.sentinels,
-                self.tap,
             )
             .map_err(SafelightError::from)?;
         let seed = fold(
@@ -1036,11 +1009,11 @@ impl FleetMember {
         //    supply-side transient: a trojan tapping a fraction of the
         //    rings cannot dim them all at once.
         let rail_z = self.guard.coherent_rail_shift(frame);
-        if rail_z >= policy.rail_glitch_z {
+        if rail_z >= RAIL_GLITCH_Z {
             self.flag_suspect();
             return Ok(Some(Decision::RailGlitch {
                 rail_z,
-                threshold: policy.rail_glitch_z,
+                threshold: RAIL_GLITCH_Z,
             }));
         }
 
@@ -1051,8 +1024,7 @@ impl FleetMember {
         let banks: Vec<(BlockKind, usize, [f64; 4])> = fields
             .iter()
             .filter(|(_, _, zs)| {
-                zs[0] >= policy.implicate_z
-                    || zs.iter().filter(|&&z| z >= policy.implicate_z).count() >= 2
+                zs[0] >= IMPLICATE_Z || zs.iter().filter(|&&z| z >= IMPLICATE_Z).count() >= 2
             })
             .copied()
             .collect();
@@ -1069,14 +1041,14 @@ impl FleetMember {
                 remap
             } else {
                 self.remap_attempts += 1;
-                if self.remap_attempts > policy.remap_retries {
+                if self.remap_attempts > REMAP_RETRIES {
                     // Spares exhausted beyond patience and a healthy peer
                     // exists: fail over.
                     self.state = MemberState::Failed;
                     Disposition::Failover
                 } else {
                     self.retry_after_batch =
-                        batch.batch + (policy.remap_backoff_batches << (self.remap_attempts - 1));
+                        batch.batch + (REMAP_BACKOFF_BATCHES << (self.remap_attempts - 1));
                     Disposition::RemapFailed {
                         attempts: self.remap_attempts,
                         retry_after: self.retry_after_batch,
@@ -1091,7 +1063,7 @@ impl FleetMember {
         //    no spares. The attribution threshold is half the implication
         //    threshold: a detector already fired, so *something* moved —
         //    a drifting readback alarms while its z is still between the
-        //    operating threshold and `implicate_z`, and waiting for full
+        //    operating threshold and `IMPLICATE_Z`, and waiting for full
         //    implication would burn the unlocalized-alarm patience on a
         //    benign sensor. A sensor story can only explain a
         //    *guard-band* alarm: the sentinel integrity channel and the
@@ -1106,7 +1078,7 @@ impl FleetMember {
             .zip(&batch.scores)
             .zip(&policy.thresholds)
             .all(|((d, &s), &t)| s <= t || d.name() == "guard_band");
-        let sensor_z = policy.implicate_z * 0.5;
+        let sensor_z = IMPLICATE_Z * 0.5;
         let mut suspects: Vec<ChannelKey> = Vec::new();
         if guard_only_alarm {
             for &(kind, bank, zs) in &fields {
@@ -1121,8 +1093,7 @@ impl FleetMember {
         if suspects.is_empty() {
             // 4. Unlocalized alarm: patience, then failover.
             self.unlocalized_alarms += 1;
-            let failover =
-                self.unlocalized_alarms >= policy.unlocalized_patience && healthy_peers > 0;
+            let failover = self.unlocalized_alarms >= UNLOCALIZED_PATIENCE && healthy_peers > 0;
             if failover {
                 self.state = MemberState::Failed;
             }
@@ -1279,17 +1250,30 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Assembles a fleet. `members` must be non-empty.
+    /// Assembles a fleet. `members` must be non-empty and, with inline
+    /// detection on, carry exactly one policy threshold per detector.
     ///
     /// # Errors
     ///
     /// Returns [`SafelightError::InvalidParameter`] on an empty member
-    /// list.
+    /// list, and when inline detection is on and a member's detector suite
+    /// is not as long as `policy.thresholds` (scores are matched to
+    /// thresholds by position, so an unmatched detector could never alarm).
     pub fn new(members: Vec<FleetMember>, policy: PolicyConfig) -> Result<Self, SafelightError> {
         if members.is_empty() {
             return Err(SafelightError::InvalidParameter {
                 name: "fleet members",
                 value: 0.0,
+            });
+        }
+        if policy.inline_detection
+            && members
+                .iter()
+                .any(|m| m.suite.len() != policy.thresholds.len())
+        {
+            return Err(SafelightError::InvalidParameter {
+                name: "policy thresholds",
+                value: policy.thresholds.len() as f64,
             });
         }
         Ok(Self {
@@ -1453,7 +1437,7 @@ impl Fleet {
                     crash_pending = None;
                     let member = &mut self.members[member_id];
                     if member.state != MemberState::Failed {
-                        let restart_until = due_at + policy.restart_batches;
+                        let restart_until = due_at + RESTART_BATCHES;
                         member.state = MemberState::Restarting;
                         member.restart_until = Some(restart_until);
                         self.record(
@@ -1600,10 +1584,7 @@ impl Fleet {
         seed: u64,
         fast_forward: bool,
     ) -> Result<bool, SafelightError> {
-        let (restart_batches, frames) = (
-            self.policy.restart_batches,
-            self.policy.recalibration_frames,
-        );
+        let frames = self.policy.recalibration_frames;
         let mut recovered = false;
         for i in 0..self.members.len() {
             let member = &mut self.members[i];
@@ -1622,7 +1603,7 @@ impl Fleet {
                     member: i,
                     score: 0.0,
                     decision: Decision::Recover {
-                        latency_batches: batch.max(until) - until.saturating_sub(restart_batches),
+                        latency_batches: batch.max(until) - until.saturating_sub(RESTART_BATCHES),
                     },
                 },
             );
@@ -1728,16 +1709,9 @@ mod tests {
         mapping: &WeightMapping,
         config: &AcceleratorConfig,
     ) -> (Vec<Box<dyn Detector>>, GuardBandDetector, Vec<f64>) {
-        let sentinels = SentinelPlan::new(mapping, config, 4, 0.7);
-        let probe = TelemetryProbe::new(
-            net,
-            mapping,
-            &ConditionMap::new(),
-            config,
-            &sentinels,
-            TapConfig::default(),
-        )
-        .unwrap();
+        let sentinels = SentinelPlan::new(mapping, config, 4);
+        let probe =
+            TelemetryProbe::new(net, mapping, &ConditionMap::new(), config, &sentinels).unwrap();
         let frames: Vec<TelemetryFrame> = (0..48).map(|b| probe.frame(b, 0xCA1)).collect();
         let mut suite = default_detectors();
         for d in &mut suite {
@@ -1745,7 +1719,7 @@ mod tests {
         }
         let mut guard = GuardBandDetector::default();
         guard.calibrate(&frames).unwrap();
-        let thresholds = crate::eval::operating_thresholds(&probe, &mut suite, 24, 24, 0.05, 0xCA1);
+        let thresholds = crate::eval::operating_thresholds(&probe, &mut suite, 24, 24, 0xCA1);
         (suite, guard, thresholds)
     }
 
@@ -1759,9 +1733,7 @@ mod tests {
                     &net,
                     mapping.clone(),
                     Box::new(AnalyticBackend::new(&config)),
-                    TapConfig::default(),
                     4,
-                    0.7,
                     suite.iter().map(|d| d.clone_box()).collect(),
                     guard.clone(),
                 )
@@ -1774,6 +1746,28 @@ mod tests {
             PolicyConfig::baseline(thresholds)
         };
         (Fleet::new(members, policy).unwrap(), requests(96))
+    }
+
+    #[test]
+    fn mismatched_thresholds_are_rejected() {
+        let (fleet, _) = make_fleet(2, true);
+        let Fleet {
+            members, policy, ..
+        } = fleet;
+        let detectors = policy.thresholds.len();
+        assert!(detectors > 1);
+        let short = PolicyConfig::new(policy.thresholds[..detectors - 1].to_vec());
+        assert!(matches!(
+            Fleet::new(members, short),
+            Err(SafelightError::InvalidParameter {
+                name: "policy thresholds",
+                ..
+            })
+        ));
+        // Without inline detection no score is ever compared to a
+        // threshold, so an empty list is fine.
+        let (fleet, _) = make_fleet(1, false);
+        assert!(Fleet::new(fleet.members, PolicyConfig::without_detection()).is_ok());
     }
 
     /// `(quarantined banks, remapped rings, unplaced rings)` of a remap.
@@ -1998,7 +1992,7 @@ mod tests {
         use safelight::fault::{inject_fault, FaultSpec};
         let (mut fleet, reqs) = make_fleet(2, true);
         let (_, mapping, config) = fixture();
-        let sentinels = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let sentinels = SentinelPlan::new(&mapping, &config, 4);
         let counts = (
             sentinels.sites(BlockKind::Conv).len(),
             sentinels.sites(BlockKind::Fc).len(),
@@ -2167,9 +2161,7 @@ mod tests {
             &net,
             mapping,
             Box::new(AnalyticBackend::new(&config)),
-            TapConfig::default(),
             4,
-            0.7,
             suite,
             guard,
         )

@@ -8,7 +8,7 @@
 
 use safelight::eval::run_detection;
 use safelight::prelude::*;
-use safelight_onn::{SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe};
+use safelight_onn::{SentinelPlan, TelemetryFrame, TelemetryProbe};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Detection watches sensors, not accuracy, so an untrained (but
@@ -18,14 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mapping = WeightMapping::new(&config, &bundle.layer_specs)?;
 
     // --- Telemetry: one serializable frame per inference batch. ---------
-    let sentinels = SentinelPlan::new(&mapping, &config, 32, 0.7);
+    let sentinels = SentinelPlan::new(&mapping, &config, 32);
     let clean_probe = TelemetryProbe::new(
         &bundle.network,
         &mapping,
         &ConditionMap::new(),
         &config,
         &sentinels,
-        TapConfig::default(),
     )?;
     let frame = clean_probe.frame(0, 7);
     println!(
@@ -41,14 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An attacked accelerator shifts the sensors the trojan touches.
     let spec = ScenarioSpec::new(VectorSpec::Actuation, AttackTarget::Both, 0.10, 0);
     let conditions = inject(&spec, &config, 7)?;
-    let attacked_probe = TelemetryProbe::new(
-        &bundle.network,
-        &mapping,
-        &conditions,
-        &config,
-        &sentinels,
-        TapConfig::default(),
-    )?;
+    let attacked_probe =
+        TelemetryProbe::new(&bundle.network, &mapping, &conditions, &config, &sentinels)?;
     let attacked = attacked_probe.noiseless(0);
     let clean = clean_probe.noiseless(0);
     println!(

@@ -17,7 +17,7 @@ use safelight_neuro::{accuracy, Flatten, Layer, Linear, Network, Tensor, Trainer
 use safelight_onn::{
     effective_weight_row, AcceleratorConfig, AnalyticBackend, BackendKind, BlockConfig, BlockKind,
     ConditionMap, DropResponseModel, InferenceBackend, MrCondition, OpticalVdp, PhysicalBackend,
-    QuantizedBackend, SentinelPlan, TapConfig, WeightMapping,
+    QuantizedBackend, SentinelPlan, WeightMapping,
 };
 
 /// The per-channel agreement bound between the analytic closed form and
@@ -129,7 +129,7 @@ proptest! {
         rings in proptest::collection::vec(0u64..16, 1..6),
     ) {
         let (net, mapping, config) = tiny_fixture();
-        let sentinels = SentinelPlan::new(&mapping, &config, 4, 0.7);
+        let sentinels = SentinelPlan::new(&mapping, &config, 4);
         let mut conditions = ConditionMap::new();
         let n = tags.len().min(dks.len()).min(factors.len()).min(rings.len());
         for i in 0..n {
@@ -141,7 +141,7 @@ proptest! {
         }
         let probe = |backend: &dyn InferenceBackend| {
             backend
-                .probe(&net, &mapping, &conditions, &sentinels, TapConfig::default())
+                .probe(&net, &mapping, &conditions, &sentinels)
                 .unwrap()
         };
         let a = probe(&AnalyticBackend::new(&config));
@@ -243,7 +243,6 @@ fn detection_csvs_are_thread_invariant_for_every_backend() {
         attack_runs: 2,
         threshold_points: 4,
         sentinels_per_block: 4,
-        ..DetectionOptions::default()
     };
     for kind in BackendKind::all() {
         let backend = kind.build(&config);

@@ -15,6 +15,7 @@ use safelight_onn::{AnalyticBackend, SensorChannel, WeightMapping};
 use safelight_serve::chaos::{chaos_grid, run_chaos, ChaosCase};
 use safelight_serve::eval::ServingOptions;
 use safelight_serve::report::{chaos_csv, chaos_json};
+use safelight_serve::runtime::RESTART_BATCHES;
 use safelight_serve::ArrivalModel;
 
 /// A trained-enough CNN_1 on the scaled accelerator profile (the same
@@ -125,7 +126,7 @@ fn faults_stay_maintenance_while_trojans_stay_detected() {
         .expect("the crash case is in the grid");
     assert!(
         crash.crash_recovery_batches.is_finite()
-            && crash.crash_recovery_batches <= 2.0 * quick_opts().restart_batches as f64 + 2.0,
+            && crash.crash_recovery_batches <= 2.0 * RESTART_BATCHES as f64 + 2.0,
         "crash recovery unbounded: {crash:?}"
     );
     assert!(

@@ -130,24 +130,16 @@ fn ten_percent_actuation_is_detected_above_the_bar() {
 
 #[test]
 fn telemetry_frames_round_trip_through_their_csv_form() {
-    use safelight_onn::{SentinelPlan, TapConfig, TelemetryFrame, TelemetryProbe};
+    use safelight_onn::{SentinelPlan, TelemetryFrame, TelemetryProbe};
     let (network, mapping, config) = setup();
-    let sentinels = SentinelPlan::new(&mapping, &config, 16, 0.7);
+    let sentinels = SentinelPlan::new(&mapping, &config, 16);
     let conditions = safelight::attack::inject(
         &ScenarioSpec::stacked(stacked_pair(), AttackTarget::Both, 0.05, 0),
         &config,
         9,
     )
     .unwrap();
-    let probe = TelemetryProbe::new(
-        &network,
-        &mapping,
-        &conditions,
-        &config,
-        &sentinels,
-        TapConfig::default(),
-    )
-    .unwrap();
+    let probe = TelemetryProbe::new(&network, &mapping, &conditions, &config, &sentinels).unwrap();
     for batch in 0..3 {
         let frame = probe.frame(batch, 11);
         let back = TelemetryFrame::from_csv(&frame.to_csv()).unwrap();
