@@ -1,42 +1,41 @@
-//! Thermal-solver benchmarks: the HotSpot-substitute's steady-state solve
-//! at the block sizes the hotspot attacks use.
+//! Thermal-solver benchmarks: the direct steady-state solve on the grids
+//! the hotspot injector actually solves — CNN_1's CONV block (182×152
+//! cells) and FC block (154×146 cells) — with one watt on every tenth bank,
+//! the power map of a 10 % hotspot attack.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use safelight_thermal::{Floorplan, ThermalConfig, ThermalGrid};
+use criterion::{criterion_group, criterion_main, Criterion};
+use safelight::attack::HotspotOptions;
+use safelight::models::{matched_accelerator, ModelKind};
+use safelight_onn::{BlockKind, BlockLayout};
+use safelight_thermal::ThermalGrid;
 
-fn bench_solve(c: &mut Criterion) {
+/// The hotspot grid of `kind` on the CNN_1 accelerator at the injector's
+/// resolution (16 thermal cells across a bank), with 1 W on every tenth
+/// bank.
+fn attacked_grid(kind: BlockKind) -> ThermalGrid {
+    let config = matched_accelerator(ModelKind::Cnn1).unwrap();
+    let shape = *config.block(kind);
+    let layout = BlockLayout::new(shape, kind, (shape.bank_cols / 16).max(1)).unwrap();
+    let mut grid = layout
+        .thermal_grid(HotspotOptions::default().thermal)
+        .unwrap();
+    for bank in (0..layout.bank_count()).step_by(10) {
+        let rect = layout.floorplan().bank(bank).unwrap().rect;
+        grid.add_power_region(rect, 1.0).unwrap();
+    }
+    grid
+}
+
+fn bench_hotspot_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("thermal_solve");
     group.sample_size(10);
-    for size in [16usize, 32, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            let mut grid = ThermalGrid::new(size, size, ThermalConfig::default()).unwrap();
-            grid.add_power(size / 2, size / 2, 0.02).unwrap();
-            b.iter(|| grid.solve().unwrap());
-        });
+    for (name, kind) in [("cnn1_conv", BlockKind::Conv), ("cnn1_fc", BlockKind::Fc)] {
+        let grid = attacked_grid(kind);
+        let id = format!("{name}_{}x{}", grid.width(), grid.height());
+        group.bench_function(id, |b| b.iter(|| grid.solve()));
     }
     group.finish();
 }
 
-fn bench_bank_attack_solve(c: &mut Criterion) {
-    // The Fig. 6 configuration: a floorplan of banks with two heated.
-    let plan = Floorplan::bank_grid(5, 5, 8, 8, 2).unwrap();
-    let mut grid = ThermalGrid::new(
-        plan.grid_width(),
-        plan.grid_height(),
-        ThermalConfig::default(),
-    )
-    .unwrap();
-    grid.add_power_region(plan.bank(6).unwrap().rect, 0.06)
-        .unwrap();
-    grid.add_power_region(plan.bank(18).unwrap().rect, 0.06)
-        .unwrap();
-    let mut group = c.benchmark_group("thermal_bank_attack");
-    group.sample_size(10);
-    group.bench_function("5x5_banks_two_attacked", |b| {
-        b.iter(|| grid.solve().unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_solve, bench_bank_attack_solve);
+criterion_group!(benches, bench_hotspot_solve);
 criterion_main!(benches);

@@ -18,7 +18,7 @@
 //! same reason.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::model::Network;
@@ -99,8 +99,9 @@ pub fn save_network_params_stamped<P: AsRef<Path>>(
 /// # Errors
 ///
 /// Returns [`NeuroError::MalformedModelFile`] when the file does not match
-/// the network (wrong magic, version, count or shapes) and
-/// [`NeuroError::Io`] on filesystem errors.
+/// the network (wrong magic, version, count or shapes, or trailing bytes)
+/// and [`NeuroError::Io`] on filesystem errors or a truncated file. On any
+/// error `network` is left unchanged.
 pub fn load_network_params<P: AsRef<Path>>(
     network: &mut Network,
     path: P,
@@ -119,15 +120,19 @@ pub fn load_network_params<P: AsRef<Path>>(
 /// # Errors
 ///
 /// Returns [`NeuroError::MalformedModelFile`] when the file does not match
-/// the network or the stamp (wrong magic, version, stamp, count or shapes)
-/// and [`NeuroError::Io`] on filesystem errors.
+/// the network or the stamp (wrong magic, version, stamp, count or shapes,
+/// or trailing bytes) and [`NeuroError::Io`] on filesystem errors or a
+/// truncated file. On any error `network` is left unchanged: the whole
+/// payload is parsed before the first value is written.
 pub fn load_network_params_stamped<P: AsRef<Path>>(
     network: &mut Network,
     path: P,
     expected_stamp: u64,
 ) -> Result<(), NeuroError> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
+    // Parse the whole file into staging buffers before touching the
+    // network, so a truncated or malformed payload leaves it unchanged.
+    let bytes = std::fs::read(path)?;
+    let mut r = bytes.as_slice();
 
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -153,54 +158,70 @@ pub fn load_network_params_stamped<P: AsRef<Path>>(
         });
     }
     let count = read_u32(&mut r)? as usize;
-    let mut params = network.params_mut();
-    if params.len() != count {
+    let shapes: Vec<Vec<usize>> = network
+        .params()
+        .iter()
+        .map(|p| p.value.shape().to_vec())
+        .collect();
+    if shapes.len() != count {
         return Err(NeuroError::MalformedModelFile {
-            context: format!("file has {count} parameters, network has {}", params.len()),
+            context: format!("file has {count} parameters, network has {}", shapes.len()),
         });
     }
-    for (i, param) in params.iter_mut().enumerate() {
+    let mut params = Vec::with_capacity(count);
+    for (i, expected) in shapes.iter().enumerate() {
         let rank = read_u32(&mut r)? as usize;
-        let mut shape = Vec::with_capacity(rank);
+        let mut shape = Vec::with_capacity(rank.min(expected.len()));
         for _ in 0..rank {
             shape.push(read_u64(&mut r)? as usize);
         }
-        if shape != param.value.shape() {
+        if &shape != expected {
             return Err(NeuroError::MalformedModelFile {
-                context: format!(
-                    "parameter {i}: file shape {shape:?} vs network {:?}",
-                    param.value.shape()
-                ),
+                context: format!("parameter {i}: file shape {shape:?} vs network {expected:?}"),
             });
         }
-        read_f32s(&mut r, param.value.as_mut_slice())?;
+        params.push(read_f32s(&mut r, expected.iter().product())?);
     }
     let count = read_u32(&mut r)? as usize;
-    let mut buffers = network.buffers_mut();
-    if buffers.len() != count {
+    let lengths: Vec<usize> = network.buffers().iter().map(|b| b.len()).collect();
+    if lengths.len() != count {
         return Err(NeuroError::MalformedModelFile {
-            context: format!("file has {count} buffers, network has {}", buffers.len()),
+            context: format!("file has {count} buffers, network has {}", lengths.len()),
         });
     }
-    for (i, buffer) in buffers.iter_mut().enumerate() {
+    let mut buffers = Vec::with_capacity(count);
+    for (i, &expected) in lengths.iter().enumerate() {
         let len = read_u64(&mut r)?;
-        if len != buffer.len() as u64 {
+        if len != expected as u64 {
             return Err(NeuroError::MalformedModelFile {
-                context: format!("buffer {i}: file length {len} vs network {}", buffer.len()),
+                context: format!("buffer {i}: file length {len} vs network {expected}"),
             });
         }
-        read_f32s(&mut r, buffer)?;
+        buffers.push(read_f32s(&mut r, expected)?);
+    }
+    if !r.is_empty() {
+        return Err(NeuroError::MalformedModelFile {
+            context: format!("{} trailing bytes after the payload", r.len()),
+        });
+    }
+
+    for (param, staged) in network.params_mut().into_iter().zip(&params) {
+        param.value.as_mut_slice().copy_from_slice(staged);
+    }
+    for (buffer, staged) in network.buffers_mut().into_iter().zip(&buffers) {
+        buffer.copy_from_slice(staged);
     }
     Ok(())
 }
 
-fn read_f32s<R: Read>(r: &mut R, out: &mut [f32]) -> Result<(), NeuroError> {
-    for v in out {
+fn read_f32s<R: Read>(r: &mut R, n: usize) -> Result<Vec<f32>, NeuroError> {
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
         let mut buf = [0u8; 4];
         r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
+        out.push(f32::from_le_bytes(buf));
     }
-    Ok(())
+    Ok(out)
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, NeuroError> {
@@ -350,6 +371,52 @@ mod tests {
         // bn1, bn2 and the projection shortcut's norm, then the outer one.
         assert_eq!(target.buffers().len(), 4 * 2);
         assert_eq!(source.buffers(), target.buffers());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Every parameter value of `net` as raw bits, in order.
+    fn param_bits(net: &Network) -> Vec<u32> {
+        net.params()
+            .iter()
+            .flat_map(|p| p.value.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn truncated_file_leaves_the_network_unchanged() {
+        let path = tmp_path("truncated");
+        save_network_params(&build_net(3), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // Cut inside the last bias: every earlier parameter is complete in
+        // the file, so a loader that wrote while reading would already have
+        // overwritten them when it hits the end.
+        std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
+        let mut net = build_net(8);
+        let before = param_bits(&net);
+        assert!(matches!(
+            load_network_params(&mut net, &path),
+            Err(NeuroError::Io { .. })
+        ));
+        assert_eq!(param_bits(&net), before);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let path = tmp_path("trailing");
+        save_network_params(&build_net(3), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.push(0);
+        std::fs::write(&path, bytes).unwrap();
+        let mut net = build_net(8);
+        let before = param_bits(&net);
+        match load_network_params(&mut net, &path).unwrap_err() {
+            NeuroError::MalformedModelFile { context } => {
+                assert!(context.contains("1 trailing bytes"), "{context}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert_eq!(param_bits(&net), before);
         std::fs::remove_file(path).ok();
     }
 

@@ -227,7 +227,7 @@ mod tests {
         let mut grid = l.thermal_grid(ThermalConfig::default()).unwrap();
         let target = l.floorplan().bank(0).unwrap().rect;
         grid.add_power_region(target, 0.08).unwrap();
-        let field = grid.solve().unwrap();
+        let field = grid.solve();
         let mut conditions = ConditionMap::new();
         l.apply_field(&field, &mut conditions, 0.5).unwrap();
         // Every ring of the attacked bank is heated.

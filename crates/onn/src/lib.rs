@@ -29,7 +29,6 @@
 //!   (laser → imprint banks → balanced photodetector → ADC), usable
 //!   end-to-end via [`backend::PhysicalBackend`] and for micro-benchmarks;
 //! * [`BlockLayout`] — physical placement of VDP banks on a thermal grid;
-//! * [`PowerModel`] — laser/tuning/converter energy and latency estimates;
 //! * [`TelemetryFrame`] / [`TelemetryProbe`] — the runtime-detection sensor
 //!   taps: per-bank drop-port monitor photocurrents, thermal sensors,
 //!   laser-rail and trim-DAC readback, plus sentinel probe weights on idle
@@ -65,7 +64,6 @@ mod error;
 mod executor;
 mod layout;
 mod mapping;
-mod power;
 mod response;
 mod telemetry;
 
@@ -81,6 +79,5 @@ pub use executor::{
 };
 pub use layout::BlockLayout;
 pub use mapping::{LayerSpec, MappedParam, RemapOutcome, WeightMapping};
-pub use power::{PowerBreakdown, PowerModel};
 pub use response::{channel_power_factor, DropResponseModel};
 pub use telemetry::{BankTelemetry, SensorChannel, SentinelPlan, TelemetryFrame, TelemetryProbe};

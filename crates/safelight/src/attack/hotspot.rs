@@ -61,101 +61,41 @@ fn cell_size_for(config: &AcceleratorConfig, kind: BlockKind) -> usize {
     (config.block(kind).bank_cols / 16).max(1)
 }
 
-/// Cache key for one unit-power bank solve: the grid geometry, the heated
-/// rectangle and every solver parameter that shapes the solution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct UnitFieldKey {
-    grid: (usize, usize),
-    rect: (usize, usize, usize, usize),
-    ambient_bits: u64,
-    lateral_bits: u64,
-    sink_bits: u64,
-    omega_bits: u64,
-    tolerance_bits: u64,
-    max_iterations: usize,
-}
-
-impl UnitFieldKey {
-    fn new(layout: &BlockLayout, rect: safelight_thermal::Rect, thermal: &ThermalConfig) -> Self {
-        Self {
-            grid: (
-                layout.floorplan().grid_width(),
-                layout.floorplan().grid_height(),
-            ),
-            rect: (rect.x, rect.y, rect.width, rect.height),
-            ambient_bits: thermal.ambient_k.to_bits(),
-            lateral_bits: thermal.lateral_conductance_w_per_k.to_bits(),
-            sink_bits: thermal.sink_conductance_w_per_k.to_bits(),
-            omega_bits: thermal.sor_omega.to_bits(),
-            tolerance_bits: thermal.tolerance_k.to_bits(),
-            max_iterations: thermal.max_iterations,
-        }
-    }
-}
-
-/// The unit-power field of one heated bank, solved once per
-/// (geometry, solver-config) pair and shared process-wide. A susceptibility
-/// sweep re-attacks the same banks across fractions and trials, so the
-/// expensive SOR solves collapse to one per distinct bank.
-fn unit_bank_field(
-    layout: &BlockLayout,
-    rect: safelight_thermal::Rect,
-    thermal: &ThermalConfig,
-) -> Result<std::sync::Arc<TemperatureField>, SafelightError> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<UnitFieldKey, Arc<TemperatureField>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = UnitFieldKey::new(layout, rect, thermal);
-    if let Some(field) = cache.lock().expect("unit-field cache poisoned").get(&key) {
-        return Ok(Arc::clone(field));
-    }
-    // Solve outside the lock; a racing duplicate solve is deterministic and
-    // idempotent, so last-writer-wins insertion is harmless.
-    let mut grid = layout.thermal_grid(*thermal)?;
-    grid.add_power_region(rect, 1.0)?;
-    let field = Arc::new(grid.solve()?);
-    cache
-        .lock()
-        .expect("unit-field cache poisoned")
-        .insert(key, Arc::clone(&field));
-    Ok(field)
-}
-
 /// Solves the field produced by overdriving every heater of `banks`,
 /// returning the field plus the scale factor that brings the attacked
 /// banks' *mean* rise to `target_delta` kelvin.
 ///
-/// The steady-state operator is linear, so the multi-bank field is the
-/// exact superposition of cached per-bank unit solves, and one scale factor
-/// brings the mean rise to the target — no iteration needed.
+/// The steady-state operator is linear, so one solve with 1 W on every
+/// attacked bank, scaled once, reaches the target — no iteration needed.
 fn solve_attack_field(
     layout: &BlockLayout,
     banks: &[usize],
     options: &HotspotOptions,
     target_delta: f64,
 ) -> Result<(TemperatureField, f64), SafelightError> {
-    let mut unit_fields = Vec::with_capacity(banks.len());
-    for &bank in banks {
-        let rect = layout
-            .floorplan()
-            .bank(bank)
-            .map_err(safelight_onn::OnnError::from)?
-            .rect;
-        unit_fields.push(unit_bank_field(layout, rect, &options.thermal)?);
+    let rects = banks
+        .iter()
+        .map(|&bank| {
+            layout
+                .floorplan()
+                .bank(bank)
+                .map(|placement| placement.rect)
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(safelight_onn::OnnError::from)?;
+    let mut grid = layout.thermal_grid(options.thermal)?;
+    for &rect in &rects {
+        grid.add_power_region(rect, 1.0)?;
     }
-    let refs: Vec<&TemperatureField> = unit_fields.iter().map(std::sync::Arc::as_ref).collect();
-    let field = TemperatureField::superpose(&refs, &vec![1.0; refs.len()])?;
+    let field = {
+        let _span = safelight_obs::profile_span("thermal_solve");
+        grid.solve()
+    };
     let mut mean = 0.0;
-    for &bank in banks {
-        let rect = layout
-            .floorplan()
-            .bank(bank)
-            .map_err(safelight_onn::OnnError::from)?
-            .rect;
+    for &rect in &rects {
         mean += field.mean_delta_in(rect)?;
     }
-    mean /= banks.len() as f64;
+    mean /= rects.len() as f64;
     Ok((field, target_delta / mean.max(1e-9)))
 }
 
@@ -167,7 +107,7 @@ fn solve_attack_field(
 /// # Errors
 ///
 /// Returns [`SafelightError::InvalidParameter`] for a fraction outside
-/// `(0, 1]` and propagates thermal solver errors.
+/// `(0, 1]` and propagates block-layout and thermal-grid errors.
 ///
 /// # Example
 ///
@@ -230,6 +170,12 @@ impl Injector for HotspotInjector {
                 value: 0.0,
             });
         };
+        if banks.is_empty() {
+            return Err(SafelightError::InvalidParameter {
+                name: "sites (no banks to heat)",
+                value: 0.0,
+            });
+        }
         let options = &self.options;
         let target_delta = options
             .target_delta_kelvin
@@ -354,5 +300,14 @@ mod tests {
             &mut rng
         )
         .is_err());
+        // An empty bank list has nothing to heat and no field to scale.
+        assert!(HotspotInjector::default()
+            .apply(
+                &cfg,
+                BlockKind::Conv,
+                &Sites::Banks(Vec::new()),
+                &mut ConditionMap::new()
+            )
+            .is_err());
     }
 }

@@ -245,6 +245,48 @@ mod tests {
     }
 
     #[test]
+    fn truncated_cache_file_retrains_from_a_fresh_model() {
+        // A checkpoint that passes the stamp but ends early must be a clean
+        // cache miss: the retrain starts from the untouched initial weights,
+        // not from a half-loaded network.
+        let dir = std::env::temp_dir().join(format!(
+            "safelight-truncated-cache-test-{}",
+            std::process::id()
+        ));
+        let data = tiny_data();
+        let recipe = tiny_recipe();
+        let train = |cache: Option<&Path>| {
+            train_variant(
+                ModelKind::Cnn1,
+                VariantKind::Original,
+                &data,
+                &recipe,
+                cache,
+            )
+            .unwrap()
+        };
+        let uncached = train(None);
+        let path = cache_file(&dir, ModelKind::Cnn1, VariantKind::Original, &recipe);
+        let bundle = build_model(ModelKind::Cnn1, recipe.seed).unwrap();
+        let stamp = cache_stamp(ModelKind::Cnn1, VariantKind::Original, &recipe, &bundle);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Cached weights that differ from the fresh initialization, cut off
+        // halfway through the payload.
+        save_network_params_stamped(&uncached, &path, stamp).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let retrained = train(Some(&dir));
+        let bits = |net: &Network| -> Vec<u32> {
+            net.params()
+                .iter()
+                .flat_map(|p| p.value.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&uncached), bits(&retrained));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stale_cache_configurations_are_rejected() {
         // Regression for the silent-stale-load bug: the cache *file name*
         // only carries epochs and seed, so two recipes differing in (say)

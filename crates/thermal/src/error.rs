@@ -3,7 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by thermal grid construction and solving.
+/// Errors produced by thermal grid construction, power placement and
+/// field queries.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ThermalError {
@@ -28,13 +29,6 @@ pub enum ThermalError {
         /// Rejected value.
         value: f64,
     },
-    /// The iterative solver failed to reach the requested tolerance.
-    NotConverged {
-        /// Number of iterations performed.
-        iterations: usize,
-        /// Residual after the final iteration, in kelvin.
-        residual_k: f64,
-    },
     /// A floorplan rectangle does not fit in the grid.
     RegionOutOfBounds {
         /// Index of the offending bank or region.
@@ -57,13 +51,6 @@ impl fmt::Display for ThermalError {
             Self::InvalidParameter { name, value } => {
                 write!(f, "invalid value {value} for parameter `{name}`")
             }
-            Self::NotConverged {
-                iterations,
-                residual_k,
-            } => write!(
-                f,
-                "solver did not converge after {iterations} iterations (residual {residual_k} K)"
-            ),
             Self::RegionOutOfBounds { index } => {
                 write!(f, "floorplan region {index} does not fit in the grid")
             }

@@ -4,7 +4,7 @@ use crate::floorplan::Rect;
 use crate::solver::{solve_steady_state, TemperatureField};
 use crate::ThermalError;
 
-/// Physical and numerical parameters of the thermal solve.
+/// Physical parameters of the thermal solve.
 ///
 /// The defaults are tuned for a photonic-accelerator floorplan discretized
 /// at one cell per microring: the lateral-to-sink conductance ratio gives a
@@ -20,16 +20,6 @@ pub struct ThermalConfig {
     pub lateral_conductance_w_per_k: f64,
     /// Vertical conductance from each cell to the sink, in W/K.
     pub sink_conductance_w_per_k: f64,
-    /// Successive-over-relaxation factor in `(0, 2)`, or `0.0` to select
-    /// the classical near-optimal factor `2 / (1 + sin(π/N))` from the grid
-    /// size at solve time (`N = max(width, height)`), which converges
-    /// several times faster than a fixed mid-range ω on the large grids the
-    /// hotspot injector solves.
-    pub sor_omega: f64,
-    /// Convergence tolerance on the maximum per-iteration update, kelvin.
-    pub tolerance_k: f64,
-    /// Iteration cap before reporting [`ThermalError::NotConverged`].
-    pub max_iterations: usize,
 }
 
 impl Default for ThermalConfig {
@@ -38,9 +28,6 @@ impl Default for ThermalConfig {
             ambient_k: 300.0,
             lateral_conductance_w_per_k: 6.0e-4,
             sink_conductance_w_per_k: 2.4e-5,
-            sor_omega: 0.0,
-            tolerance_k: 1e-6,
-            max_iterations: 200_000,
         }
     }
 }
@@ -66,23 +53,11 @@ impl ThermalConfig {
                 self.sink_conductance_w_per_k,
                 self.sink_conductance_w_per_k > 0.0,
             ),
-            (
-                "sor_omega",
-                self.sor_omega,
-                self.sor_omega >= 0.0 && self.sor_omega < 2.0,
-            ),
-            ("tolerance_k", self.tolerance_k, self.tolerance_k > 0.0),
         ];
         for (name, value, ok) in checks {
             if !value.is_finite() || !ok {
                 return Err(ThermalError::InvalidParameter { name, value });
             }
-        }
-        if self.max_iterations == 0 {
-            return Err(ThermalError::InvalidParameter {
-                name: "max_iterations",
-                value: 0.0,
-            });
         }
         Ok(())
     }
@@ -102,7 +77,7 @@ impl ThermalConfig {
 /// # fn main() -> Result<(), safelight_thermal::ThermalError> {
 /// let mut grid = ThermalGrid::new(16, 8, ThermalConfig::default())?;
 /// grid.add_power(4, 4, 0.01)?;
-/// let field = grid.solve()?;
+/// let field = grid.solve();
 /// assert!(field.max_delta() > 0.0);
 /// # Ok(())
 /// # }
@@ -240,11 +215,10 @@ impl ThermalGrid {
 
     /// Solves for the steady-state temperature field.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::NotConverged`] when the SOR iteration fails
-    /// to reach the configured tolerance within the iteration cap.
-    pub fn solve(&self) -> Result<TemperatureField, ThermalError> {
+    /// The solve is direct (see the crate docs), so it cannot fail: every
+    /// input was validated when the grid and its powers were set.
+    #[must_use]
+    pub fn solve(&self) -> TemperatureField {
         solve_steady_state(self.width, self.height, &self.power_w, &self.config)
     }
 }
@@ -264,13 +238,13 @@ mod tests {
     #[test]
     fn bad_config_is_rejected() {
         let cfg = ThermalConfig {
-            sor_omega: 2.5,
+            sink_conductance_w_per_k: 0.0,
             ..ThermalConfig::default()
         };
         assert!(matches!(
             ThermalGrid::new(4, 4, cfg),
             Err(ThermalError::InvalidParameter {
-                name: "sor_omega",
+                name: "sink_conductance_w_per_k",
                 ..
             })
         ));

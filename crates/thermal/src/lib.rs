@@ -18,6 +18,14 @@
 //! physical mechanism by which an attacked heater corrupts not only its own
 //! microring bank but also neighbouring banks (paper §III.B.2).
 //!
+//! The grid edges are adiabatic, so the lateral operator is the Kronecker
+//! sum of two path-graph Laplacians, which the orthonormal DCT-II
+//! diagonalizes exactly. [`ThermalGrid::solve`] therefore solves directly:
+//! one forward transform of the power map, a per-mode division by
+//! `g_lat(λₓ + λᵧ) + g_sink`, one inverse transform. There is no iteration,
+//! tolerance or convergence failure; the field is exact up to rounding and
+//! linear in the placed powers, so a multi-source layout is one solve.
+//!
 //! # Example
 //!
 //! ```
@@ -26,7 +34,7 @@
 //! # fn main() -> Result<(), safelight_thermal::ThermalError> {
 //! let mut grid = ThermalGrid::new(32, 32, ThermalConfig::default())?;
 //! grid.add_power(16, 16, 0.02)?; // a 20 mW trojan-driven heater
-//! let field = grid.solve()?;
+//! let field = grid.solve();
 //! // The hotspot peaks at the heater and decays with distance.
 //! assert!(field.delta_at(16, 16)? > field.delta_at(24, 16)?);
 //! # Ok(())

@@ -1,5 +1,4 @@
-//! Steady-state finite-difference solver and the resulting temperature
-//! field.
+//! Direct steady-state solver and the resulting temperature field.
 
 use crate::grid::ThermalConfig;
 use crate::heatmap::Heatmap;
@@ -16,7 +15,6 @@ pub struct TemperatureField {
     height: usize,
     ambient_k: f64,
     temperatures_k: Vec<f64>,
-    iterations: usize,
 }
 
 impl TemperatureField {
@@ -36,12 +34,6 @@ impl TemperatureField {
     #[must_use]
     pub fn ambient_k(&self) -> f64 {
         self.ambient_k
-    }
-
-    /// Iterations the solver needed to converge.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Absolute temperature at `(x, y)` in kelvin.
@@ -128,59 +120,6 @@ impl TemperatureField {
         sites.iter().map(|&(x, y)| self.delta_at(x, y)).collect()
     }
 
-    /// Superposes per-source solutions of the (linear) steady-state
-    /// operator: `ΔT = Σ_i scale_i · ΔT_i` over ambient.
-    ///
-    /// Because the heat balance is linear in the sources, the field of a
-    /// multi-source layout equals the scaled sum of single-source fields;
-    /// callers exploit this to cache unit-power solves and combine them
-    /// instead of re-running the solver per source combination.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::InvalidParameter`] when `fields` is empty,
-    /// when `scales` has a different length, or when the fields disagree in
-    /// shape or ambient temperature.
-    pub fn superpose(
-        fields: &[&TemperatureField],
-        scales: &[f64],
-    ) -> Result<TemperatureField, ThermalError> {
-        let first = *fields.first().ok_or(ThermalError::InvalidParameter {
-            name: "fields",
-            value: 0.0,
-        })?;
-        if fields.len() != scales.len() {
-            return Err(ThermalError::InvalidParameter {
-                name: "scales",
-                value: scales.len() as f64,
-            });
-        }
-        let mut temperatures_k = vec![first.ambient_k; first.temperatures_k.len()];
-        let mut iterations = 0;
-        for (field, &scale) in fields.iter().zip(scales) {
-            if field.width != first.width
-                || field.height != first.height
-                || (field.ambient_k - first.ambient_k).abs() > f64::EPSILON
-            {
-                return Err(ThermalError::InvalidParameter {
-                    name: "fields (mismatched shape or ambient)",
-                    value: field.width as f64,
-                });
-            }
-            iterations = iterations.max(field.iterations);
-            for (acc, &t) in temperatures_k.iter_mut().zip(&field.temperatures_k) {
-                *acc += scale * (t - field.ambient_k);
-            }
-        }
-        Ok(TemperatureField {
-            width: first.width,
-            height: first.height,
-            ambient_k: first.ambient_k,
-            temperatures_k,
-            iterations,
-        })
-    }
-
     /// Converts the field into a renderable [`Heatmap`] of ΔT values.
     #[must_use]
     pub fn to_heatmap(&self) -> Heatmap {
@@ -195,80 +134,111 @@ impl TemperatureField {
     }
 }
 
-/// Gauss–Seidel/SOR solve of the steady-state balance
+/// Direct solve of the steady-state balance
 /// `Σ g_lat (T_nb − T) + g_sink (T_amb − T) + P = 0`.
+///
+/// With `u = T − T_amb` the balance reads `(g_lat·L + g_sink·I)·u = P`,
+/// where `L` is the 5-point grid Laplacian with adiabatic edges: the
+/// Kronecker sum of two path-graph Laplacians. The orthonormal DCT-II
+/// diagonalizes each path Laplacian exactly (eigenvalues
+/// `λ_k = 2 − 2cos(πk/n)`), so
+///
+/// ```text
+/// u = Cᵧᵀ [(Cᵧ P Cₓᵀ) ⊘ (g_lat(λₓ + λᵧ) + g_sink)] Cₓ
+/// ```
+///
+/// Dense cosine tables make this O(WH(W+H)) with no iteration and no
+/// tolerance: the only error is floating-point rounding.
 pub(crate) fn solve_steady_state(
     width: usize,
     height: usize,
     power_w: &[f64],
     config: &ThermalConfig,
-) -> Result<TemperatureField, ThermalError> {
+) -> TemperatureField {
     debug_assert_eq!(power_w.len(), width * height);
     let g_lat = config.lateral_conductance_w_per_k;
     let g_sink = config.sink_conductance_w_per_k;
-    let omega = if config.sor_omega > 0.0 {
-        config.sor_omega
-    } else {
-        // Classical near-optimal SOR factor for a Poisson-like stencil;
-        // the sink term only shrinks the spectral radius further, so this
-        // stays convergent (ω < 2 for the SPD system) while cutting
-        // iteration counts by roughly the grid's linear size.
-        let n = width.max(height).max(2) as f64;
-        (2.0 / (1.0 + (std::f64::consts::PI / n).sin())).min(1.98)
-    };
-    let ambient = config.ambient_k;
+    let (cx, lambda_x) = (dct_matrix(width), path_eigenvalues(width));
+    let (cy, lambda_y) = (dct_matrix(height), path_eigenvalues(height));
 
-    let mut t = vec![ambient; width * height];
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-
-    while iterations < config.max_iterations {
-        iterations += 1;
-        let mut max_update: f64 = 0.0;
-        for y in 0..height {
-            for x in 0..width {
-                let idx = y * width + x;
-                let mut neighbour_sum = 0.0;
-                let mut degree = 0.0;
-                if x > 0 {
-                    neighbour_sum += t[idx - 1];
-                    degree += 1.0;
-                }
-                if x + 1 < width {
-                    neighbour_sum += t[idx + 1];
-                    degree += 1.0;
-                }
-                if y > 0 {
-                    neighbour_sum += t[idx - width];
-                    degree += 1.0;
-                }
-                if y + 1 < height {
-                    neighbour_sum += t[idx + width];
-                    degree += 1.0;
-                }
-                let diag = g_lat * degree + g_sink;
-                let rhs = g_lat * neighbour_sum + g_sink * ambient + power_w[idx];
-                let gauss_seidel = rhs / diag;
-                let updated = t[idx] + omega * (gauss_seidel - t[idx]);
-                max_update = max_update.max((updated - t[idx]).abs());
-                t[idx] = updated;
-            }
-        }
-        residual = max_update;
-        if residual < config.tolerance_k {
-            return Ok(TemperatureField {
-                width,
-                height,
-                ambient_k: ambient,
-                temperatures_k: t,
-                iterations,
-            });
+    // Spectral power, stored transposed (row = x mode, column = y mode)
+    // so every transform below is a left multiply on contiguous rows.
+    let along_y = mul_rows(&cy, false, power_w, width);
+    let mut spectrum = mul_rows(&cx, false, &transpose(&along_y, width), height);
+    for (row, &lx) in spectrum.chunks_exact_mut(height).zip(&lambda_x) {
+        for (s, &ly) in row.iter_mut().zip(&lambda_y) {
+            *s /= g_lat * (lx + ly) + g_sink;
         }
     }
-    Err(ThermalError::NotConverged {
-        iterations,
-        residual_k: residual,
-    })
+    let back_x = transpose(&mul_rows(&cx, true, &spectrum, height), height);
+    let mut temperatures_k = mul_rows(&cy, true, &back_x, width);
+    for t in &mut temperatures_k {
+        *t += config.ambient_k;
+    }
+    TemperatureField {
+        width,
+        height,
+        ambient_k: config.ambient_k,
+        temperatures_k,
+    }
+}
+
+/// The orthonormal `n × n` DCT-II matrix, row-major:
+/// `C[k][j] = s_k cos(πk(2j+1) / 2n)` with `s_0 = √(1/n)`, `s_k = √(2/n)`.
+fn dct_matrix(n: usize) -> Vec<f64> {
+    let mut c = Vec::with_capacity(n * n);
+    for k in 0..n {
+        let scale = if k == 0 { 1.0 } else { 2.0f64.sqrt() } / (n as f64).sqrt();
+        for j in 0..n {
+            // Reduce the angle modulo 2π in exact integer arithmetic.
+            let phase = (k * (2 * j + 1)) % (4 * n);
+            c.push(scale * (std::f64::consts::PI * phase as f64 / (2 * n) as f64).cos());
+        }
+    }
+    c
+}
+
+/// Eigenvalues `2 − 2cos(πk/n)` of the `n`-node path-graph Laplacian, in
+/// the order of the [`dct_matrix`] rows.
+fn path_eigenvalues(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|k| 2.0 - 2.0 * (std::f64::consts::PI * k as f64 / n as f64).cos())
+        .collect()
+}
+
+/// `M·X` (or `Mᵀ·X` when `transpose`) for a square row-major `M` and a
+/// row-major `X` with `cols` columns. All-zero rows of `X` are skipped.
+fn mul_rows(m: &[f64], transpose: bool, x: &[f64], cols: usize) -> Vec<f64> {
+    let n = x.len() / cols;
+    let mut out = vec![0.0; x.len()];
+    for (j, x_row) in x.chunks_exact(cols).enumerate() {
+        if x_row.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
+            let c = if transpose {
+                m[j * n + i]
+            } else {
+                m[i * n + j]
+            };
+            for (o, &v) in out_row.iter_mut().zip(x_row) {
+                *o += c * v;
+            }
+        }
+    }
+    out
+}
+
+/// Transpose of a row-major matrix with `cols` columns.
+fn transpose(x: &[f64], cols: usize) -> Vec<f64> {
+    let rows = x.len() / cols;
+    let mut out = vec![0.0; x.len()];
+    for (r, row) in x.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -279,7 +249,7 @@ mod tests {
     fn solve_point_source(size: usize, watts: f64) -> TemperatureField {
         let mut grid = ThermalGrid::new(size, size, ThermalConfig::default()).unwrap();
         grid.add_power(size / 2, size / 2, watts).unwrap();
-        grid.solve().unwrap()
+        grid.solve()
     }
 
     #[test]
@@ -299,7 +269,7 @@ mod tests {
     #[test]
     fn zero_power_gives_ambient_everywhere() {
         let grid = ThermalGrid::new(12, 12, ThermalConfig::default()).unwrap();
-        let field = grid.solve().unwrap();
+        let field = grid.solve();
         assert!(field.max_delta().abs() < 1e-6);
     }
 
@@ -346,13 +316,13 @@ mod tests {
         let mut grid = ThermalGrid::new(20, 20, cfg).unwrap();
         grid.add_power(5, 5, 0.01).unwrap();
         grid.add_power(14, 9, 0.03).unwrap();
-        let field = grid.solve().unwrap();
+        let field = grid.solve();
         let sunk: f64 = field
             .as_slice()
             .iter()
             .map(|t| cfg.sink_conductance_w_per_k * (t - cfg.ambient_k))
             .sum();
-        assert!((sunk - 0.04).abs() / 0.04 < 1e-3, "sunk {sunk} W");
+        assert!((sunk - 0.04).abs() / 0.04 < 1e-9, "sunk {sunk} W");
     }
 
     #[test]
@@ -375,19 +345,5 @@ mod tests {
         };
         let mean = field.mean_delta_in(region).unwrap();
         assert!(mean > 0.0 && mean <= field.max_delta());
-    }
-
-    #[test]
-    fn unconverged_solve_is_reported() {
-        let cfg = ThermalConfig {
-            max_iterations: 2,
-            ..ThermalConfig::default()
-        };
-        let mut grid = ThermalGrid::new(16, 16, cfg).unwrap();
-        grid.add_power(8, 8, 0.02).unwrap();
-        assert!(matches!(
-            grid.solve(),
-            Err(ThermalError::NotConverged { .. })
-        ));
     }
 }
