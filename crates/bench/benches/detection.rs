@@ -1,12 +1,15 @@
-//! Detection hot-path benchmarks: telemetry-probe construction, per-frame
-//! emission, and the calibrated detector suite scoring a frame stream —
-//! the inner loop every ROC point of `eval::detection` is built from.
+//! Detection hot-path benchmarks: telemetry-probe construction (clean,
+//! attacked, and re-derived after a remap), per-frame emission, and the
+//! calibrated detector suite scoring a frame stream — the inner loop
+//! every ROC point of `eval::detection` is built from.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safelight::attack::{inject, AttackTarget, ScenarioSpec, VectorSpec};
 use safelight::detect::default_detectors;
 use safelight::models::{build_model, matched_accelerator, ModelKind};
-use safelight_onn::{ConditionMap, SentinelPlan, TelemetryFrame, TelemetryProbe};
+use safelight_onn::{
+    BlockKind, ConditionMap, MrCondition, SentinelPlan, TelemetryFrame, TelemetryProbe,
+};
 
 fn setup() -> (
     safelight_neuro::Network,
@@ -29,8 +32,30 @@ fn bench_probe_construction(c: &mut Criterion) {
         7,
     )
     .unwrap();
+    let clean = ConditionMap::new();
+    c.bench_function("telemetry_probe_new_cnn1_clean", |b| {
+        b.iter(|| TelemetryProbe::new(&network, &mapping, &clean, &config, &sentinels).unwrap())
+    });
     c.bench_function("telemetry_probe_new_cnn1_10pct", |b| {
         b.iter(|| TelemetryProbe::new(&network, &mapping, &attacked, &config, &sentinels).unwrap())
+    });
+    // The re-derivation after one quarantine/remap cycle: the rings of
+    // two FC banks relocated onto spares and parked, on top of the attack.
+    let mut remapped = mapping.clone();
+    let mut conditions = attacked.clone();
+    let per_bank = config.block(BlockKind::Fc).mrs_per_bank() as u64;
+    let quarantined: Vec<u64> = (0..2 * per_bank).collect();
+    assert!(remapped
+        .remap_params(BlockKind::Fc, &quarantined)
+        .unwrap()
+        .fully_placed());
+    for &ring in &quarantined {
+        conditions.stack(BlockKind::Fc, ring, MrCondition::Parked);
+    }
+    c.bench_function("telemetry_probe_new_cnn1_after_remap", |b| {
+        b.iter(|| {
+            TelemetryProbe::new(&network, &remapped, &conditions, &config, &sentinels).unwrap()
+        })
     });
 }
 

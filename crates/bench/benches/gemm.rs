@@ -8,6 +8,8 @@
 //!   batch, `K×N` = an FC layer), where packing overhead dominates;
 //! * `conv`-shaped products — CNN_1's and the VGG-variant's im2col
 //!   shapes (`M = out_channels`, `K = in_channels·k²`, `N = OH·OW`);
+//!   CNN_1's conv2 (`16x72x196`) is small enough that `matmul` takes the
+//!   direct row-AXPY path;
 //! * transposed variants — the backward-pass forms `A·Bᵀ` and `Aᵀ·B`;
 //! * the integer datapath — i8 codes, i32 accumulation, the quantized
 //!   backend's serving kernel;
@@ -258,6 +260,24 @@ fn emit_baseline(c: &mut Criterion) {
         });
         push_row(shape, "int8", int_seconds, reference_seconds);
     }
+
+    // The conv-shaped product serving runs most: CNN_1's conv2 im2col
+    // GEMM (16 output channels × 8·3² × 14²). `matmul` sends it down the
+    // direct row-AXPY path (m·k ≤ 2048), which no tier row above covers.
+    let (shape, m, k, n) = ("16x72x196", 16, 72, 196);
+    let a = fill(m * k, 1.0);
+    let b = fill(k * n, 2.0);
+    let mut out = vec![0.0f32; m * n];
+    let reference_seconds = median_seconds(|| {
+        out.fill(0.0);
+        reference::matmul(&a, &b, &mut out, m, k, n);
+    });
+    push_row(shape, "reference", reference_seconds, reference_seconds);
+    let direct_seconds = median_seconds(|| {
+        out.fill(0.0);
+        matmul(&a, &b, &mut out, m, k, n);
+    });
+    push_row(shape, "direct", direct_seconds, reference_seconds);
 
     // Whole-network serving forward, float vs integer datapath: the
     // end-to-end witness that the quantized backend's serving path is

@@ -9,7 +9,8 @@
 //! `BENCH_serve.json` snapshot (steady-state batch latency, detection
 //! overhead fraction, the observability-plane instrumentation overhead
 //! with a `ServeObserver` attached and profiling on, the SLO
-//! alert-evaluation path cost, alarm-path and fault-path latency, and
+//! alert-evaluation path cost, alarm-path and fault-path latency, the
+//! clean and attacked telemetry-probe build time, and
 //! the open-loop throughput-vs-p99 saturation sweep) at the repository
 //! root
 //! — NOT under `target/`, which `cargo clean` and CI cache eviction
@@ -20,7 +21,7 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use safelight::detect::{default_detectors, Detector};
 use safelight::fault::FaultPlan;
 use safelight::models::{build_model, dataset_kind_for, matched_accelerator, ModelKind};
@@ -284,6 +285,27 @@ fn emit_baseline(c: &mut Criterion) {
     for ring in 0..2 * per_bank {
         attack.set(BlockKind::Conv, ring, MrCondition::Parked);
     }
+    // Control-plane cost of one probe build on the matched accelerator:
+    // the clean state every fleet member starts from, and the attacked
+    // state a compromise re-derives.
+    let probe_seconds = |conditions: &ConditionMap| {
+        let sentinels = SentinelPlan::new(&s.mapping, &s.config, 32);
+        let mut samples: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(
+                    TelemetryProbe::new(&s.network, &s.mapping, conditions, &s.config, &sentinels)
+                        .unwrap(),
+                );
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples[samples.len() / 2]
+    };
+    let probe_clean = probe_seconds(&ConditionMap::new());
+    let probe_attacked = probe_seconds(&attack);
+
     let alarm_path = {
         let mut fleet = make_fleet(&s, 2, PolicyConfig::new(s.thresholds.clone()));
         let start = Instant::now();
@@ -368,6 +390,8 @@ fn emit_baseline(c: &mut Criterion) {
          \"alert_evaluation_overhead_fraction\":{alert_overhead},\
          \"alarm_path_seconds\":{alarm_path},\
          \"fault_path_seconds\":{fault_path},\
+         \"probe_build_seconds_clean\":{probe_clean},\
+         \"probe_build_seconds_attacked\":{probe_attacked},\
          \"open_loop\":{}}}\n",
         rate_sweep_json(&sweep)
     );
@@ -382,6 +406,7 @@ fn emit_baseline(c: &mut Criterion) {
          (overhead {:.1} %), instrumented {:.3} ms (obs overhead {:.1} %), \
          alert evaluation {:.3} ms ({:.2} % of stream), \
          alarm path {:.1} ms, fault path {:.1} ms, \
+         probe build {:.1} ms clean / {:.1} ms attacked, \
          open-loop saturation at rate {} → {}",
         batch_with * 1e3,
         batch_without * 1e3,
@@ -392,6 +417,8 @@ fn emit_baseline(c: &mut Criterion) {
         alert_overhead * 100.0,
         alarm_path * 1e3,
         fault_path * 1e3,
+        probe_clean * 1e3,
+        probe_attacked * 1e3,
         sweep.saturation_rate,
         out.display()
     );

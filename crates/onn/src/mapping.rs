@@ -224,6 +224,13 @@ impl WeightMapping {
         self.reloc(kind).get(&ring).copied().unwrap_or(ring)
     }
 
+    /// The relocation table of `kind`'s block as `(logical, physical)`
+    /// pairs in ascending logical order; rings it does not list are their
+    /// own physical ring. Both directions of every swap are listed.
+    pub(crate) fn relocations(&self, kind: BlockKind) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.reloc(kind).iter().map(|(&l, &p)| (l, p))
+    }
+
     /// The logical ring whose parameter slots physical ring `ring`
     /// currently carries (the inverse of [`WeightMapping::physical_ring`];
     /// identical lookup because relocations are pairwise swaps).
@@ -303,17 +310,40 @@ impl WeightMapping {
                 });
             }
         }
-        let used = self.used_slots(kind);
         let qset: BTreeSet<u64> = quarantined.iter().copied().collect();
-        // Spares available to this call: idle, never retired, and not
-        // themselves in the incoming quarantine set.
-        let mut spares: Vec<u64> = self
-            .idle_slots(kind)
-            .into_iter()
-            .filter(|s| !qset.contains(s))
-            .collect();
+        let spares = self.top_spares(kind, &qset);
+        Ok(self.remap_onto(kind, &qset, spares))
+    }
+
+    /// The spares one [`WeightMapping::remap_params`] call can hand out, in
+    /// allocation order: idle, never retired, and not themselves in the
+    /// incoming quarantine set `qset`, from the top of the idle region
+    /// down. The call places at most one spare per quarantined ring, so
+    /// walking the idle range downward stops after `qset.len()` of them
+    /// instead of listing the whole region.
+    fn top_spares(&self, kind: BlockKind, qset: &BTreeSet<u64>) -> Vec<u64> {
+        let cap = self.shape(kind).total_mrs();
+        let retired = self.retired(kind);
+        (self.used_slots(kind)..cap)
+            .rev()
+            .map(|l| self.physical_ring(kind, l))
+            .filter(|s| !retired.contains(s) && !qset.contains(s))
+            .take(qset.len())
+            .collect()
+    }
+
+    /// Retires the rings of `qset` and relocates the parameters they carry
+    /// onto `spares`, taken in order.
+    fn remap_onto(
+        &mut self,
+        kind: BlockKind,
+        qset: &BTreeSet<u64>,
+        spares: Vec<u64>,
+    ) -> RemapOutcome {
+        let used = self.used_slots(kind);
+        let mut spares = spares.into_iter();
         let mut out = RemapOutcome::default();
-        for &q in &qset {
+        for &q in qset {
             let newly_retired = match kind {
                 BlockKind::Conv => self.retired_conv.insert(q),
                 BlockKind::Fc => self.retired_fc.insert(q),
@@ -325,7 +355,7 @@ impl WeightMapping {
             if l >= used {
                 continue; // the ring carries nothing — retiring suffices
             }
-            let Some(s) = spares.pop() else {
+            let Some(s) = spares.next() else {
                 out.unplaced.push(q);
                 continue;
             };
@@ -339,7 +369,7 @@ impl WeightMapping {
             self.reloc_mut(kind).insert(s, l);
             out.remapped.push((q, s));
         }
-        Ok(out)
+        out
     }
 
     /// Number of layers mapped.
@@ -521,6 +551,8 @@ impl WeightMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use safelight_neuro::SimRng;
 
     fn small_config() -> AcceleratorConfig {
         AcceleratorConfig::custom(
@@ -751,5 +783,62 @@ mod tests {
         let before = mapping.clone();
         assert!(mapping.remap_params(BlockKind::Fc, &[1, 50]).is_err());
         assert_eq!(mapping, before);
+    }
+
+    /// The spare selection `remap_params` used before it bounded its walk:
+    /// list every idle spare, drop the incoming quarantine set, and hand
+    /// the rest out from the top of the idle region.
+    fn listed_spares(mapping: &WeightMapping, kind: BlockKind, qset: &BTreeSet<u64>) -> Vec<u64> {
+        let mut spares: Vec<u64> = mapping
+            .idle_slots(kind)
+            .into_iter()
+            .filter(|s| !qset.contains(s))
+            .collect();
+        spares.reverse();
+        spares
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random chained quarantines, walking only the top of the
+        /// idle region places parameters exactly as listing all of it did.
+        #[test]
+        fn bounded_spare_selection_matches_listing_the_idle_region(seed in any::<u64>()) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut block = || BlockConfig {
+                vdp_units: 1 + rng.index(4),
+                bank_rows: 1 + rng.index(4),
+                bank_cols: 1 + rng.index(5),
+            };
+            let (conv, fc) = (block(), block());
+            let config = AcceleratorConfig::custom(conv, fc).unwrap();
+            let specs: Vec<LayerSpec> = (0..1 + rng.index(3))
+                .map(|i| {
+                    let kind = if rng.index(2) == 0 { BlockKind::Conv } else { BlockKind::Fc };
+                    LayerSpec::new(format!("l{i}"), kind, 1 + rng.index(60))
+                })
+                .collect();
+            let mut bounded = WeightMapping::new(&config, &specs).unwrap();
+            let mut listed = bounded.clone();
+            for _ in 0..1 + rng.index(6) {
+                let kind = if rng.index(2) == 0 { BlockKind::Conv } else { BlockKind::Fc };
+                let cap = config.block(kind).total_mrs();
+                let quarantined: Vec<u64> = (0..1 + rng.index(8))
+                    .map(|_| rng.index(cap as usize) as u64)
+                    .collect();
+                let outcome = bounded.remap_params(kind, &quarantined).unwrap();
+                let qset: BTreeSet<u64> = quarantined.iter().copied().collect();
+                let spares = listed_spares(&listed, kind, &qset);
+                prop_assert_eq!(&outcome, &listed.remap_onto(kind, &qset, spares));
+                for kind in [BlockKind::Conv, BlockKind::Fc] {
+                    for ring in 0..config.block(kind).total_mrs() {
+                        prop_assert_eq!(bounded.physical_ring(kind, ring), listed.physical_ring(kind, ring));
+                    }
+                    prop_assert_eq!(bounded.spare_count(kind), listed.spare_count(kind));
+                }
+            }
+            prop_assert_eq!(&bounded, &listed);
+        }
     }
 }

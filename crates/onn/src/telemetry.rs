@@ -31,8 +31,8 @@
 use safelight_neuro::{Network, SimRng};
 
 use crate::condition::{ConditionMap, MrCondition};
-use crate::config::{AcceleratorConfig, BlockKind};
-use crate::mapping::WeightMapping;
+use crate::config::{AcceleratorConfig, BlockKind, WeightEncoding};
+use crate::mapping::{LayerSpec, WeightMapping};
 use crate::response::{channel_power_factor, DropResponseModel};
 use crate::OnnError;
 
@@ -411,7 +411,8 @@ impl SentinelPlan {
     /// `used_slots` alone no longer tells the truth once spares absorb
     /// relocated parameters, so the caller provisions sentinels from
     /// [`WeightMapping::idle_slots`](crate::WeightMapping::idle_slots)
-    /// instead.
+    /// instead. A site beyond its block's capacity makes every probe built
+    /// on the plan fail with [`OnnError::MrOutOfRange`].
     #[must_use]
     pub fn on_sites(mut conv: Vec<u64>, mut fc: Vec<u64>) -> Self {
         conv.sort_unstable();
@@ -438,64 +439,29 @@ struct BlockMeans {
     sentinels: Vec<f64>,
 }
 
-/// The analytic telemetry tap: precomputes the noiseless per-bank sensor
-/// means of one `(network, conditions)` pair and stamps out noisy
-/// [`TelemetryFrame`]s, deterministic in `(seed, batch)`.
-///
-/// This is the fast-path counterpart of the physical monitor photodetectors
-/// (see [`OpticalVdp::dot_with_tap`](crate::OpticalVdp::dot_with_tap)):
-/// it evaluates the same drop-port responses the executor's effective
-/// weight model uses, so a detection sweep costs one pass over the mapped
-/// slots per scenario instead of a full optical simulation per frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryProbe {
-    conv: BlockMeans,
-    fc: BlockMeans,
+/// What one probe construction reads: the quantized weight snapshot plus
+/// the mapping, faults, sentinels and physics the slots are swept through.
+struct Sweep<'a> {
+    /// Normalized, quantized |weight| per mapped layer, mirroring the
+    /// executor's calibration (per-layer full-scale, then DAC steps).
+    snapshot: Vec<Vec<f64>>,
+    specs: Vec<&'a LayerSpec>,
+    mapping: &'a WeightMapping,
+    conditions: &'a ConditionMap,
+    config: &'a AcceleratorConfig,
+    sentinels: &'a SentinelPlan,
+    p: &'a DropResponseModel,
 }
 
-impl TelemetryProbe {
-    /// Derives the noiseless sensor means of `network` mapped by `mapping`
-    /// onto `config` under the fault `conditions`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OnnError::MappingMismatch`] when the network's weight
-    /// tensors do not line up with the mapping, and
-    /// [`OnnError::MrOutOfRange`] when `conditions` reference rings beyond
-    /// a block.
-    pub fn new(
+impl<'a> Sweep<'a> {
+    fn new(
         network: &Network,
-        mapping: &WeightMapping,
-        conditions: &ConditionMap,
-        config: &AcceleratorConfig,
-        sentinels: &SentinelPlan,
+        mapping: &'a WeightMapping,
+        conditions: &'a ConditionMap,
+        config: &'a AcceleratorConfig,
+        sentinels: &'a SentinelPlan,
+        p: &'a DropResponseModel,
     ) -> Result<Self, OnnError> {
-        let model = DropResponseModel::from_config(config);
-        Self::new_with(
-            network, mapping, conditions, config, sentinels, &model, None,
-        )
-    }
-
-    /// As [`TelemetryProbe::new`], but with an explicit physics `model`
-    /// (whose DAC steps quantize imprinted magnitudes) and an optional
-    /// custom per-slot response evaluator. With `response: None` the
-    /// analytic closed forms of the shared model apply — the fast path;
-    /// backends pass `Some` to read each slot through their own physics
-    /// (device simulation, finite-resolution monitor ADCs).
-    pub(crate) fn new_with(
-        network: &Network,
-        mapping: &WeightMapping,
-        conditions: &ConditionMap,
-        config: &AcceleratorConfig,
-        sentinels: &SentinelPlan,
-        p: &DropResponseModel,
-        mut response: Option<SlotResponseFn<'_>>,
-    ) -> Result<Self, OnnError> {
-        let _span = safelight_obs::profile_span("probe_build");
-        let drop_port = p.encoding == crate::config::WeightEncoding::DropPort;
-
-        // Normalized, quantized |weight| snapshot per layer, mirroring the
-        // executor's calibration (per-layer full-scale, then DAC steps).
         let weights: Vec<_> = network.params().into_iter().filter(|q| q.decay).collect();
         let specs = mapping.layer_specs();
         if weights.len() != specs.len() {
@@ -530,144 +496,290 @@ impl TelemetryProbe {
                 vec![0.0; q.value.len()]
             });
         }
-
-        let mut means_for = |kind: BlockKind| -> Result<BlockMeans, OnnError> {
-            let shape = *config.block(kind);
-            let cap = shape.total_mrs();
-            let per_bank = shape.mrs_per_bank() as u64;
-            for (mr, _) in conditions.iter(kind) {
-                if mr >= cap {
-                    return Err(OnnError::MrOutOfRange {
-                        index: mr,
-                        capacity: cap,
-                    });
-                }
-            }
-            // One condition lookup per ring (sweeps construct probes per
-            // scenario, so per-slot hash lookups would dominate).
-            let conds: Vec<MrCondition> = (0..cap).map(|r| conditions.condition(kind, r)).collect();
-            // This block's layers with their start slots, in mapping order
-            // (reconstructed exactly as `WeightMapping::new` assigns them),
-            // so the slot sweep below resolves magnitudes with a monotone
-            // cursor instead of a per-slot layer scan.
-            let mut block_layers: Vec<(u64, usize)> = Vec::new();
-            let mut used = 0u64;
-            for (li, spec) in specs.iter().enumerate() {
-                if spec.kind == kind {
-                    block_layers.push((used, li));
-                    used += spec.weights as u64;
-                }
-            }
-            debug_assert_eq!(used, mapping.used_slots(kind));
-            let rounds = mapping.rounds(kind).max(1);
-            let mut drop_sum = vec![0.0f64; shape.vdp_units];
-            // Drop-port monitor: every reuse round re-imprints the block, so
-            // the per-batch monitor integral is the mean response over all
-            // `rounds × cap` slots. An idle slot imprints zero magnitude —
-            // unless the ring hosts a sentinel, whose known probe weight is
-            // exactly what the final-round idle region carries (keeping the
-            // bank monitor and the sentinel readback models of the same
-            // physical ring consistent).
-            let sentinel_sites = sentinels.sites(kind);
-            let m_sentinel = p.quantize(SENTINEL_MAGNITUDE);
-            // After a quarantine/remap cycle the mapping relocates logical
-            // rings onto physical spares; the sweep below walks logical
-            // slots (so the monotone layer cursor keeps working) and
-            // attributes each response to the ring that physically drops
-            // the light. Pristine mappings skip the indirection entirely.
-            let remapped = mapping.has_remaps(kind);
-            let mut cursor = 0usize;
-            for slot in 0..rounds * cap {
-                let logical = slot % cap;
-                let ring = if remapped {
-                    mapping.physical_ring(kind, logical)
-                } else {
-                    logical
-                };
-                let cond = conds[ring as usize];
-                let m = if slot < used {
-                    while cursor + 1 < block_layers.len() && block_layers[cursor + 1].0 <= slot {
-                        cursor += 1;
-                    }
-                    let (start, li) = block_layers[cursor];
-                    snapshot[li][(slot - start) as usize]
-                } else if sentinel_sites.binary_search(&ring).is_ok() {
-                    m_sentinel
-                } else {
-                    0.0
-                };
-                let slot_response = match &mut response {
-                    Some(eval) => eval(m, cond)?,
-                    // Fast paths for the two exact closed forms: under the
-                    // drop-port encoding a healthy ring's drop response is
-                    // the encoding target itself (`detuning_for_magnitude`
-                    // is its inverse), and a parked ring sits at max
-                    // detuning — i.e. exactly the drop floor, whatever the
-                    // encoding. Most rings hit one of these, skipping the
-                    // sqrt/Lorentzian round-trip that dominates probe
-                    // construction in sweeps.
-                    None => match cond {
-                        MrCondition::Healthy if drop_port => {
-                            p.drop_floor + m * (1.0 - p.drop_floor)
-                        }
-                        MrCondition::Parked => p.drop_floor,
-                        _ => channel_power_factor(cond) * p.drop_response(p.offset_under(m, cond)),
-                    },
-                };
-                drop_sum[(ring / per_bank) as usize] += slot_response;
-            }
-            // Thermal / rail / trim readbacks are per-ring, independent of
-            // the imprinted weights.
-            let mut temp_sum = vec![0.0f64; shape.vdp_units];
-            let mut rail_sum = vec![0.0f64; shape.vdp_units];
-            let mut trim_sum = vec![0.0f64; shape.vdp_units];
-            for (ring, &cond) in conds.iter().enumerate() {
-                let bank = ring / per_bank as usize;
-                rail_sum[bank] += channel_power_factor(cond);
-                match cond {
-                    MrCondition::Heated { delta_kelvin }
-                    | MrCondition::Attenuated { delta_kelvin, .. } => {
-                        temp_sum[bank] += delta_kelvin;
-                    }
-                    MrCondition::Detuned {
-                        offset_nm,
-                        delta_kelvin,
-                    } => {
-                        temp_sum[bank] += delta_kelvin;
-                        trim_sum[bank] += offset_nm.abs();
-                    }
-                    MrCondition::Healthy | MrCondition::Parked => {}
-                }
-            }
-            let banks = (0..shape.vdp_units)
-                .map(|bank| BankTelemetry {
-                    drop_current: drop_sum[bank] / (rounds * per_bank) as f64,
-                    delta_kelvin: temp_sum[bank] / per_bank as f64,
-                    rail_power: rail_sum[bank] / per_bank as f64,
-                    trim_offset_nm: trim_sum[bank] / per_bank as f64,
-                })
-                .collect();
-            // Sentinel readback: the decoded magnitude of the known probe
-            // weight on each sentinel ring, through the same physics.
-            let m = p.quantize(SENTINEL_MAGNITUDE);
-            let mut readbacks = Vec::with_capacity(sentinels.sites(kind).len());
-            for &ring in sentinels.sites(kind) {
-                let cond = conditions.condition(kind, ring);
-                let slot_response = match &mut response {
-                    Some(eval) => eval(m, cond)?,
-                    None => channel_power_factor(cond) * p.drop_response(p.offset_under(m, cond)),
-                };
-                readbacks.push(p.decode(slot_response));
-            }
-            Ok(BlockMeans {
-                banks,
-                sentinels: readbacks,
-            })
-        };
-
         Ok(Self {
-            conv: means_for(BlockKind::Conv)?,
-            fc: means_for(BlockKind::Fc)?,
+            snapshot,
+            specs,
+            mapping,
+            conditions,
+            config,
+            sentinels,
+            p,
+        })
+    }
+
+    /// `kind`'s layers with their start slots, in mapping order
+    /// (reconstructed exactly as `WeightMapping::new` assigns them), so a
+    /// slot sweep resolves magnitudes with a monotone cursor instead of a
+    /// per-slot layer scan.
+    fn block_layers(&self, kind: BlockKind) -> Vec<(u64, usize)> {
+        let mut block_layers = Vec::new();
+        let mut used = 0u64;
+        for (li, spec) in self.specs.iter().enumerate() {
+            if spec.kind == kind {
+                block_layers.push((used, li));
+                used += spec.weights as u64;
+            }
+        }
+        debug_assert_eq!(used, self.mapping.used_slots(kind));
+        block_layers
+    }
+
+    /// The monitor response of one slot imprinting magnitude `m` on a ring
+    /// under `cond`: the backend's evaluator when it supplies one, else
+    /// the shared model's closed forms.
+    fn slot_response(
+        &self,
+        m: f64,
+        cond: MrCondition,
+        response: &mut Option<SlotResponseFn<'_>>,
+    ) -> Result<f64, OnnError> {
+        let p = self.p;
+        Ok(match response {
+            Some(eval) => eval(m, cond)?,
+            // Fast paths for the two exact closed forms: under the
+            // drop-port encoding a healthy ring's drop response is the
+            // encoding target itself (`detuning_for_magnitude` is its
+            // inverse), and a parked ring sits at max detuning — i.e.
+            // exactly the drop floor, whatever the encoding. Most rings hit
+            // one of these, skipping the sqrt/Lorentzian round-trip.
+            None => match cond {
+                MrCondition::Healthy if p.encoding == WeightEncoding::DropPort => {
+                    p.drop_floor + m * (1.0 - p.drop_floor)
+                }
+                MrCondition::Parked => p.drop_floor,
+                _ => channel_power_factor(cond) * p.drop_response(p.offset_under(m, cond)),
+            },
+        })
+    }
+
+    /// The noiseless sensor means of `kind`'s block.
+    ///
+    /// The sweeps walk rings in order with cursors over the ring-sorted
+    /// faults, the sentinel sites and the relocation table, so a healthy,
+    /// unrelocated ring costs one closed-form response and one add, with
+    /// no lookup; only a relocated slot searches the faults (and, in the
+    /// idle range, the sentinel sites) for its physical ring. Every sum
+    /// still takes one add per slot or ring, in slot or ring order, so the
+    /// means are bit-identical to a dense per-ring evaluation.
+    fn means(
+        &self,
+        kind: BlockKind,
+        response: &mut Option<SlotResponseFn<'_>>,
+    ) -> Result<BlockMeans, OnnError> {
+        let shape = *self.config.block(kind);
+        let cap = shape.total_mrs();
+        let per_bank = shape.mrs_per_bank() as u64;
+        let mut faults: Vec<(u64, MrCondition)> = self.conditions.iter(kind).collect();
+        faults.sort_unstable_by_key(|&(ring, _)| ring);
+        let sites = self.sentinels.sites(kind);
+        // Both lists are sorted, so their last entries bound every index.
+        for index in [faults.last().map(|&(ring, _)| ring), sites.last().copied()]
+            .into_iter()
+            .flatten()
+        {
+            if index >= cap {
+                return Err(OnnError::MrOutOfRange {
+                    index,
+                    capacity: cap,
+                });
+            }
+        }
+        let condition_of = |ring: u64| match faults.binary_search_by_key(&ring, |&(r, _)| r) {
+            Ok(i) => faults[i].1,
+            Err(_) => MrCondition::Healthy,
+        };
+        let block_layers = self.block_layers(kind);
+        let used = self.mapping.used_slots(kind);
+        let rounds = self.mapping.rounds(kind).max(1);
+        let m_sentinel = self.p.quantize(SENTINEL_MAGNITUDE);
+        // Drop-port monitor: every reuse round re-imprints the block, so
+        // the per-batch monitor integral is the mean response over all
+        // `rounds × cap` slots. An idle slot imprints zero magnitude —
+        // unless the ring hosts a sentinel, whose known probe weight is
+        // exactly what the final-round idle region carries (keeping the
+        // bank monitor and the sentinel readback models of the same
+        // physical ring consistent).
+        let mut drop_sum = vec![0.0f64; shape.vdp_units];
+        let mut layer = 0usize;
+        for round in 0..rounds {
+            // Each round walks the logical rings 0..cap again, so the ring
+            // cursors restart. After a quarantine/remap cycle a relocated
+            // logical ring's response is attributed to the physical ring
+            // that drops its light; every other ring is its own physical
+            // ring.
+            let mut relocations = self.mapping.relocations(kind).peekable();
+            let mut fault = 0usize;
+            let mut site = 0usize;
+            for bank in 0..shape.vdp_units {
+                // The bank's own running sum, in a register; relocated
+                // slots landing on another bank add to that bank's entry,
+                // so each bank still sees its adds in slot order.
+                let mut bank_sum = drop_sum[bank];
+                let first = bank as u64 * per_bank;
+                for logical in first..first + per_bank {
+                    let slot = round * cap + logical;
+                    let (ring, cond) = match relocations.next_if(|&(l, _)| l == logical) {
+                        Some((_, ring)) => (ring, condition_of(ring)),
+                        None => {
+                            while faults.get(fault).is_some_and(|&(r, _)| r < logical) {
+                                fault += 1;
+                            }
+                            match faults.get(fault) {
+                                Some(&(r, cond)) if r == logical => (logical, cond),
+                                _ => (logical, MrCondition::Healthy),
+                            }
+                        }
+                    };
+                    let m = if slot < used {
+                        while layer + 1 < block_layers.len() && block_layers[layer + 1].0 <= slot {
+                            layer += 1;
+                        }
+                        let (start, li) = block_layers[layer];
+                        self.snapshot[li][(slot - start) as usize]
+                    } else {
+                        let hosts_sentinel = if ring == logical {
+                            while sites.get(site).is_some_and(|&s| s < logical) {
+                                site += 1;
+                            }
+                            sites.get(site) == Some(&logical)
+                        } else {
+                            sites.binary_search(&ring).is_ok()
+                        };
+                        if hosts_sentinel {
+                            m_sentinel
+                        } else {
+                            0.0
+                        }
+                    };
+                    let slot_response = self.slot_response(m, cond, response)?;
+                    let ring_bank = if ring == logical {
+                        bank
+                    } else {
+                        (ring / per_bank) as usize
+                    };
+                    if ring_bank == bank {
+                        bank_sum += slot_response;
+                    } else {
+                        drop_sum[ring_bank] += slot_response;
+                    }
+                }
+                drop_sum[bank] = bank_sum;
+            }
+        }
+        // Thermal / rail / trim readbacks are per-ring, independent of the
+        // imprinted weights.
+        let mut faulty = faults.iter().peekable();
+        let banks = (0..shape.vdp_units)
+            .map(|bank| {
+                let (mut temp_sum, mut rail_sum, mut trim_sum) = (0.0f64, 0.0f64, 0.0f64);
+                let first = bank as u64 * per_bank;
+                for ring in first..first + per_bank {
+                    let cond = faulty
+                        .next_if(|&&(r, _)| r == ring)
+                        .map_or(MrCondition::Healthy, |&(_, cond)| cond);
+                    rail_sum += channel_power_factor(cond);
+                    match cond {
+                        MrCondition::Heated { delta_kelvin }
+                        | MrCondition::Attenuated { delta_kelvin, .. } => {
+                            temp_sum += delta_kelvin;
+                        }
+                        MrCondition::Detuned {
+                            offset_nm,
+                            delta_kelvin,
+                        } => {
+                            temp_sum += delta_kelvin;
+                            trim_sum += offset_nm.abs();
+                        }
+                        MrCondition::Healthy | MrCondition::Parked => {}
+                    }
+                }
+                BankTelemetry {
+                    drop_current: drop_sum[bank] / (rounds * per_bank) as f64,
+                    delta_kelvin: temp_sum / per_bank as f64,
+                    rail_power: rail_sum / per_bank as f64,
+                    trim_offset_nm: trim_sum / per_bank as f64,
+                }
+            })
+            .collect();
+        // Sentinel readback: the decoded magnitude of the known probe
+        // weight on each sentinel ring, through the same physics.
+        let mut readbacks = Vec::with_capacity(sites.len());
+        for &ring in sites {
+            let cond = condition_of(ring);
+            let slot_response = match response {
+                Some(eval) => eval(m_sentinel, cond)?,
+                None => {
+                    channel_power_factor(cond)
+                        * self.p.drop_response(self.p.offset_under(m_sentinel, cond))
+                }
+            };
+            readbacks.push(self.p.decode(slot_response));
+        }
+        Ok(BlockMeans {
+            banks,
+            sentinels: readbacks,
+        })
+    }
+}
+
+/// The analytic telemetry tap: precomputes the noiseless per-bank sensor
+/// means of one `(network, conditions)` pair and stamps out noisy
+/// [`TelemetryFrame`]s, deterministic in `(seed, batch)`.
+///
+/// This is the fast-path counterpart of the physical monitor photodetectors
+/// (see [`OpticalVdp::dot_with_tap`](crate::OpticalVdp::dot_with_tap)):
+/// it evaluates the same drop-port responses the executor's effective
+/// weight model uses, so a detection sweep costs one pass over the mapped
+/// slots per scenario instead of a full optical simulation per frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TelemetryProbe {
+    conv: BlockMeans,
+    fc: BlockMeans,
+}
+
+impl TelemetryProbe {
+    /// Derives the noiseless sensor means of `network` mapped by `mapping`
+    /// onto `config` under the fault `conditions`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OnnError::MappingMismatch`] when the network's weight
+    /// tensors do not line up with the mapping, and
+    /// [`OnnError::MrOutOfRange`] when `conditions` or `sentinels`
+    /// reference rings beyond a block.
+    pub fn new(
+        network: &Network,
+        mapping: &WeightMapping,
+        conditions: &ConditionMap,
+        config: &AcceleratorConfig,
+        sentinels: &SentinelPlan,
+    ) -> Result<Self, OnnError> {
+        let model = DropResponseModel::from_config(config);
+        Self::new_with(
+            network, mapping, conditions, config, sentinels, &model, None,
+        )
+    }
+
+    /// As [`TelemetryProbe::new`], but with an explicit physics `model`
+    /// (whose DAC steps quantize imprinted magnitudes) and an optional
+    /// custom per-slot response evaluator. With `response: None` the
+    /// analytic closed forms of the shared model apply — the fast path;
+    /// backends pass `Some` to read each slot through their own physics
+    /// (device simulation, finite-resolution monitor ADCs).
+    pub(crate) fn new_with(
+        network: &Network,
+        mapping: &WeightMapping,
+        conditions: &ConditionMap,
+        config: &AcceleratorConfig,
+        sentinels: &SentinelPlan,
+        p: &DropResponseModel,
+        mut response: Option<SlotResponseFn<'_>>,
+    ) -> Result<Self, OnnError> {
+        let _span = safelight_obs::profile_span("probe_build");
+        let sweep = Sweep::new(network, mapping, conditions, config, sentinels, p)?;
+        Ok(Self {
+            conv: sweep.means(BlockKind::Conv, &mut response)?,
+            fc: sweep.means(BlockKind::Fc, &mut response)?,
         })
     }
 
@@ -711,8 +823,10 @@ impl TelemetryProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{InferenceBackend, QuantizedBackend};
     use crate::config::BlockConfig;
     use crate::mapping::LayerSpec;
+    use proptest::prelude::*;
     use safelight_neuro::{Flatten, Layer, Linear, Network, Tensor};
 
     /// One linear layer of 16 weights on a 2-bank FC block of 8 rings each,
@@ -1040,5 +1154,329 @@ mod tests {
             TelemetryProbe::new(&net, &mapping, &conditions, &config, &plan),
             Err(OnnError::MrOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_sentinels_are_rejected() {
+        let (net, mapping, config) = setup();
+        let cap = config.block(BlockKind::Conv).total_mrs();
+        for sites in [vec![cap], vec![0, cap + 7]] {
+            let plan = SentinelPlan::on_sites(sites, Vec::new());
+            assert!(matches!(
+                TelemetryProbe::new(&net, &mapping, &ConditionMap::new(), &config, &plan),
+                Err(OnnError::MrOutOfRange { index, capacity }) if index >= cap && capacity == cap
+            ));
+        }
+        // The last ring of the block is still a valid site.
+        let plan = SentinelPlan::on_sites(vec![cap - 1], Vec::new());
+        assert!(TelemetryProbe::new(&net, &mapping, &ConditionMap::new(), &config, &plan).is_ok());
+    }
+
+    /// The dense per-ring evaluation the probe used before its cursor
+    /// sweep: a condition vector with one hash lookup per ring, a
+    /// relocation lookup per slot and a sentinel `binary_search` per idle
+    /// slot. The oracle the cursor sweep must match bit for bit.
+    fn dense_means(
+        sweep: &Sweep<'_>,
+        kind: BlockKind,
+        response: &mut Option<SlotResponseFn<'_>>,
+    ) -> Result<BlockMeans, OnnError> {
+        let (mapping, conditions, sentinels, p) =
+            (sweep.mapping, sweep.conditions, sweep.sentinels, sweep.p);
+        let drop_port = p.encoding == WeightEncoding::DropPort;
+        let shape = *sweep.config.block(kind);
+        let cap = shape.total_mrs();
+        let per_bank = shape.mrs_per_bank() as u64;
+        for (mr, _) in conditions.iter(kind) {
+            if mr >= cap {
+                return Err(OnnError::MrOutOfRange {
+                    index: mr,
+                    capacity: cap,
+                });
+            }
+        }
+        let conds: Vec<MrCondition> = (0..cap).map(|r| conditions.condition(kind, r)).collect();
+        let block_layers = sweep.block_layers(kind);
+        let used = mapping.used_slots(kind);
+        let rounds = mapping.rounds(kind).max(1);
+        let mut drop_sum = vec![0.0f64; shape.vdp_units];
+        let sentinel_sites = sentinels.sites(kind);
+        let m_sentinel = p.quantize(SENTINEL_MAGNITUDE);
+        let remapped = mapping.has_remaps(kind);
+        let mut cursor = 0usize;
+        for slot in 0..rounds * cap {
+            let logical = slot % cap;
+            let ring = if remapped {
+                mapping.physical_ring(kind, logical)
+            } else {
+                logical
+            };
+            let cond = conds[ring as usize];
+            let m = if slot < used {
+                while cursor + 1 < block_layers.len() && block_layers[cursor + 1].0 <= slot {
+                    cursor += 1;
+                }
+                let (start, li) = block_layers[cursor];
+                sweep.snapshot[li][(slot - start) as usize]
+            } else if sentinel_sites.binary_search(&ring).is_ok() {
+                m_sentinel
+            } else {
+                0.0
+            };
+            let slot_response = match response {
+                Some(eval) => eval(m, cond)?,
+                None => match cond {
+                    MrCondition::Healthy if drop_port => p.drop_floor + m * (1.0 - p.drop_floor),
+                    MrCondition::Parked => p.drop_floor,
+                    _ => channel_power_factor(cond) * p.drop_response(p.offset_under(m, cond)),
+                },
+            };
+            drop_sum[(ring / per_bank) as usize] += slot_response;
+        }
+        let mut temp_sum = vec![0.0f64; shape.vdp_units];
+        let mut rail_sum = vec![0.0f64; shape.vdp_units];
+        let mut trim_sum = vec![0.0f64; shape.vdp_units];
+        for (ring, &cond) in conds.iter().enumerate() {
+            let bank = ring / per_bank as usize;
+            rail_sum[bank] += channel_power_factor(cond);
+            match cond {
+                MrCondition::Heated { delta_kelvin }
+                | MrCondition::Attenuated { delta_kelvin, .. } => {
+                    temp_sum[bank] += delta_kelvin;
+                }
+                MrCondition::Detuned {
+                    offset_nm,
+                    delta_kelvin,
+                } => {
+                    temp_sum[bank] += delta_kelvin;
+                    trim_sum[bank] += offset_nm.abs();
+                }
+                MrCondition::Healthy | MrCondition::Parked => {}
+            }
+        }
+        let banks = (0..shape.vdp_units)
+            .map(|bank| BankTelemetry {
+                drop_current: drop_sum[bank] / (rounds * per_bank) as f64,
+                delta_kelvin: temp_sum[bank] / per_bank as f64,
+                rail_power: rail_sum[bank] / per_bank as f64,
+                trim_offset_nm: trim_sum[bank] / per_bank as f64,
+            })
+            .collect();
+        let mut readbacks = Vec::with_capacity(sentinel_sites.len());
+        for &ring in sentinel_sites {
+            let cond = conditions.condition(kind, ring);
+            let slot_response = match response {
+                Some(eval) => eval(m_sentinel, cond)?,
+                None => {
+                    channel_power_factor(cond) * p.drop_response(p.offset_under(m_sentinel, cond))
+                }
+            };
+            readbacks.push(p.decode(slot_response));
+        }
+        Ok(BlockMeans {
+            banks,
+            sentinels: readbacks,
+        })
+    }
+
+    /// [`TelemetryProbe::new_with`] through [`dense_means`].
+    fn dense_probe(
+        case: &RandomCase,
+        p: &DropResponseModel,
+        mut response: Option<SlotResponseFn<'_>>,
+    ) -> TelemetryProbe {
+        let sweep = Sweep::new(
+            &case.net,
+            &case.mapping,
+            &case.conditions,
+            &case.config,
+            &case.sentinels,
+            p,
+        )
+        .unwrap();
+        TelemetryProbe {
+            conv: dense_means(&sweep, BlockKind::Conv, &mut response).unwrap(),
+            fc: dense_means(&sweep, BlockKind::Fc, &mut response).unwrap(),
+        }
+    }
+
+    /// Every reading of a frame as raw bits, so `-0.0`/`0.0` and NaN
+    /// payloads count as differences.
+    fn frame_bits(frame: &TelemetryFrame) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for kind in [BlockKind::Conv, BlockKind::Fc] {
+            for b in frame.banks(kind) {
+                bits.extend(
+                    [
+                        b.drop_current,
+                        b.delta_kelvin,
+                        b.rail_power,
+                        b.trim_offset_nm,
+                    ]
+                    .map(f64::to_bits),
+                );
+            }
+            bits.extend(frame.sentinels(kind).iter().map(|s| s.to_bits()));
+        }
+        bits
+    }
+
+    struct RandomCase {
+        net: Network,
+        mapping: WeightMapping,
+        conditions: ConditionMap,
+        config: AcceleratorConfig,
+        sentinels: SentinelPlan,
+    }
+
+    /// A random fault of any variant.
+    fn random_condition(rng: &mut SimRng) -> MrCondition {
+        match rng.index(4) {
+            0 => MrCondition::Parked,
+            1 => MrCondition::Heated {
+                delta_kelvin: rng.uniform_in(0.5, 40.0),
+            },
+            2 => MrCondition::Attenuated {
+                factor: rng.uniform_in(0.05, 0.95),
+                delta_kelvin: if rng.index(2) == 0 {
+                    0.0
+                } else {
+                    rng.uniform_in(0.5, 20.0)
+                },
+            },
+            _ => MrCondition::Detuned {
+                offset_nm: rng.uniform_in(-0.5, 0.5),
+                delta_kelvin: if rng.index(2) == 0 {
+                    0.0
+                } else {
+                    rng.uniform_in(0.5, 20.0)
+                },
+            },
+        }
+    }
+
+    /// A small random probe setup: blocks of a few banks, up to three
+    /// layers spread over both blocks (sometimes wrapping into several
+    /// reuse rounds), faults of every variant stacked onto each other,
+    /// chained remaps, and sentinels on idle, quarantined and relocated
+    /// rings.
+    fn random_case(seed: u64) -> RandomCase {
+        let mut rng = SimRng::seed_from(seed);
+        let mut block = || BlockConfig {
+            vdp_units: 1 + rng.index(3),
+            bank_rows: 1 + rng.index(3),
+            bank_cols: 1 + rng.index(4),
+        };
+        let (conv, fc) = (block(), block());
+        let mut config = AcceleratorConfig::custom(conv, fc).unwrap();
+        if rng.index(4) == 0 {
+            config.encoding = WeightEncoding::ThroughPort;
+        }
+        let mut net = Network::new();
+        net.push(Flatten::new());
+        let mut specs = Vec::new();
+        for li in 0..1 + rng.index(3) {
+            let (rows, cols) = (1 + rng.index(6), 1 + rng.index(6));
+            let mut layer = Linear::new(cols, rows, seed ^ li as u64).unwrap();
+            let zero = rng.index(8) == 0;
+            let values = (0..rows * cols)
+                .map(|_| if zero { 0.0 } else { rng.gaussian() as f32 })
+                .collect();
+            layer.params_mut()[0].value = Tensor::from_vec(vec![rows, cols], values).unwrap();
+            net.push(layer);
+            let kind = if rng.index(2) == 0 {
+                BlockKind::Conv
+            } else {
+                BlockKind::Fc
+            };
+            specs.push(LayerSpec::new(format!("l{li}"), kind, rows * cols));
+        }
+        let mut mapping = WeightMapping::new(&config, &specs).unwrap();
+        let mut conditions = ConditionMap::new();
+        let mut sites = [Vec::new(), Vec::new()];
+        for (kind, sites) in [BlockKind::Conv, BlockKind::Fc].into_iter().zip(&mut sites) {
+            let cap = config.block(kind).total_mrs();
+            let ring = |rng: &mut SimRng| rng.index(cap as usize) as u64;
+            for _ in 0..rng.index(3) {
+                let quarantined: Vec<u64> = (0..1 + rng.index(3)).map(|_| ring(&mut rng)).collect();
+                mapping.remap_params(kind, &quarantined).unwrap();
+                // The runtime parks what it quarantines; leaving some
+                // quarantined rings unparked also exposes the imprint on
+                // the idle slots relocated onto them.
+                if rng.index(2) == 0 {
+                    for &q in &quarantined {
+                        conditions.stack(kind, q, MrCondition::Parked);
+                    }
+                }
+            }
+            for _ in 0..rng.index(cap as usize + 1) {
+                let r = ring(&mut rng);
+                match rng.index(3) {
+                    0 => conditions.add_heat(kind, r, rng.uniform_in(0.5, 30.0)),
+                    _ => {
+                        let cond = random_condition(&mut rng);
+                        conditions.stack(kind, r, cond);
+                    }
+                }
+            }
+            sites.extend((0..rng.index(4)).map(|_| ring(&mut rng)));
+            // A ring of the relocation table, when there is one.
+            let relocated: Vec<u64> = mapping.relocations(kind).map(|(l, _)| l).collect();
+            if !relocated.is_empty() {
+                sites.push(relocated[rng.index(relocated.len())]);
+            }
+        }
+        let [conv_sites, fc_sites] = sites;
+        RandomCase {
+            net,
+            mapping,
+            conditions,
+            config,
+            sentinels: SentinelPlan::on_sites(conv_sites, fc_sites),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The cursor sweep reads every sensor mean bit for bit as the
+        /// dense per-ring reference, through the analytic closed forms and
+        /// through a backend's own slot evaluator alike.
+        #[test]
+        fn cursor_sweep_matches_the_dense_reference(seed in any::<u64>()) {
+            let case = random_case(seed);
+            let model = DropResponseModel::from_config(&case.config);
+            let fast = TelemetryProbe::new(
+                &case.net,
+                &case.mapping,
+                &case.conditions,
+                &case.config,
+                &case.sentinels,
+            )
+            .unwrap();
+            prop_assert_eq!(
+                frame_bits(&fast.noiseless(0)),
+                frame_bits(&dense_probe(&case, &model, None).noiseless(0)),
+                "analytic sweep diverged (seed {})", seed
+            );
+
+            // The quantized backend's monitor ADC, rebuilt for the reference.
+            let (weight_bits, readout_bits) = (4, 6);
+            let quantized = QuantizedBackend::new(&case.config, weight_bits, readout_bits)
+                .probe(&case.net, &case.mapping, &case.conditions, &case.sentinels)
+                .unwrap();
+            let model = DropResponseModel::with_dac_bits(&case.config, weight_bits);
+            let steps = DropResponseModel::steps_from_bits(readout_bits);
+            let mut adc = |m: f64, cond: MrCondition| -> Result<f64, OnnError> {
+                let analytic =
+                    channel_power_factor(cond) * model.drop_response(model.offset_under(m, cond));
+                Ok(DropResponseModel::snap_unit(analytic, steps))
+            };
+            prop_assert_eq!(
+                frame_bits(&quantized.noiseless(0)),
+                frame_bits(&dense_probe(&case, &model, Some(&mut adc)).noiseless(0)),
+                "quantized sweep diverged (seed {})", seed
+            );
+        }
     }
 }

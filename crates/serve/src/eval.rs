@@ -283,15 +283,18 @@ pub(crate) fn request_stream<D: Dataset + ?Sized>(
     Ok((requests, labels))
 }
 
-/// Everything the per-scenario fleets share: calibrated detector suite,
-/// localization guard and thresholds.
+/// Everything the per-scenario fleets share: the clean prototype member
+/// (calibrated detector suite and localization guard included), the
+/// operating thresholds and the detector names.
 pub(crate) struct CalibratedParts {
-    pub(crate) suite: Vec<Box<dyn Detector>>,
-    pub(crate) guard: GuardBandDetector,
+    pub(crate) prototype: FleetMember,
     pub(crate) thresholds: Vec<f64>,
     pub(crate) names: Vec<String>,
 }
 
+/// Calibrates the detector suite and guard on attack-free telemetry, then
+/// derives the clean prototype member every fleet of this evaluation call
+/// clones.
 pub(crate) fn calibrate(
     network: &Network,
     mapping: &WeightMapping,
@@ -316,37 +319,32 @@ pub(crate) fn calibrate(
     guard.calibrate(&frames)?;
     let thresholds = operating_thresholds(&probe, &mut suite, opts.clean_runs, opts.batches, seed);
     let names = suite.iter().map(|d| d.name().to_string()).collect();
-    Ok(CalibratedParts {
-        suite,
-        guard,
-        thresholds,
-        names,
-    })
-}
-
-pub(crate) fn build_fleet(
-    network: &Network,
-    mapping: &WeightMapping,
-    backend: &dyn InferenceBackend,
-    parts: &CalibratedParts,
-    opts: &ServingOptions,
-    respond: bool,
-) -> Result<Fleet, SafelightError> {
-    // Identical hardware: derive the executor/probe state once and clone
-    // it across the fleet (members differ only by id and noise salt).
     let prototype = FleetMember::new(
         0,
         network,
         mapping.clone(),
         backend.clone_box(),
         opts.sentinels_per_block,
-        parts.suite.iter().map(|d| d.clone_box()).collect(),
-        parts.guard.clone(),
+        suite,
+        guard,
     )?;
-    let mut members: Vec<FleetMember> = (1..opts.fleet_size.max(1))
-        .map(|id| prototype.clone_as(id))
+    Ok(CalibratedParts {
+        prototype,
+        thresholds,
+        names,
+    })
+}
+
+/// A fresh fleet of identical clean members: clones of the calibrated
+/// prototype, differing only by id and noise salt.
+pub(crate) fn build_fleet(
+    parts: &CalibratedParts,
+    opts: &ServingOptions,
+    respond: bool,
+) -> Result<Fleet, SafelightError> {
+    let members: Vec<FleetMember> = (0..opts.fleet_size.max(1))
+        .map(|id| parts.prototype.clone_as(id))
         .collect();
-    members.insert(0, prototype);
     let mut policy = if respond {
         PolicyConfig::new(parts.thresholds.clone())
     } else {
@@ -674,7 +672,7 @@ where
     // false alarm from remapping (or failing over) the reference fleet
     // mid-measurement.
     let clean_accuracy = {
-        let mut fleet = build_fleet(network, mapping, backend, &parts, opts, false)?;
+        let mut fleet = build_fleet(&parts, opts, false)?;
         let out = fleet.serve_queue(
             &requests,
             opts.batch_size,
@@ -739,7 +737,7 @@ where
                 conditions: &e.conditions,
             });
             let fault = plan.as_ref().map(|p| MemberFault { member: 0, plan: p });
-            let mut fleet = build_fleet(network, mapping, backend, &parts, opts, true)?;
+            let mut fleet = build_fleet(&parts, opts, true)?;
             let observer = registry.as_ref().map(|reg| {
                 Arc::new(ServeObserver::with_scope_slo(
                     reg.clone(),
@@ -767,7 +765,7 @@ where
                 .as_ref()
                 .map(|o| o.drain(std::slice::from_ref(&case.header)));
             let baseline = if case.baseline {
-                let mut fleet = build_fleet(network, mapping, backend, &parts, opts, false)?;
+                let mut fleet = build_fleet(&parts, opts, false)?;
                 Some(fleet.serve_queue(
                     &requests,
                     opts.batch_size,
@@ -918,7 +916,7 @@ pub fn run_rate_sweep<D: Dataset + Sync + ?Sized>(
         };
         let capacity = point_opts.effective_queue_capacity();
         let (requests, _) = request_stream(data, &point_opts, seed)?;
-        let mut fleet = build_fleet(network, mapping, backend, &parts, &point_opts, false)?;
+        let mut fleet = build_fleet(&parts, &point_opts, false)?;
         let out = fleet.serve_queue(
             &requests,
             point_opts.batch_size,
