@@ -61,8 +61,8 @@ use std::path::PathBuf;
 
 use safelight::defense::noise_ablation_variants;
 use safelight::experiment::{
-    run_detection_experiment, run_fig6, run_fig7, run_fig9_from, workbench, ExperimentOptions,
-    Fidelity,
+    run_detection_experiment, run_fig6, run_fig7, run_fig8, run_fig9_from, workbench,
+    ExperimentOptions, Fidelity, ModelWorkbench,
 };
 use safelight::models::{table1, ModelKind};
 use safelight::prelude::*;
@@ -71,7 +71,10 @@ use safelight_obs::{
     set_profile_enabled, Level, SloSpec,
 };
 use safelight_onn::{BackendKind, BlockKind};
-use safelight_serve::{ArrivalModel, ObsArtifacts};
+use safelight_serve::{
+    chaos_grid, run_chaos_observed, run_rate_sweep, run_serving_observed, ArrivalModel,
+    ObsArtifacts, ServingOptions,
+};
 
 struct Args {
     fidelity: Fidelity,
@@ -408,13 +411,14 @@ fn print_fig6(opts: &ExperimentOptions, out_dir: &std::path::Path) -> Result<(),
 }
 
 fn print_fig7(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
 ) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Fig. 7 ({kind}): susceptibility to actuation & hotspot attacks ===");
-    let (bench, report) = run_fig7(kind, opts)?;
+    let report = run_fig7(bench, opts)?;
     result!(
         "baseline (clean accelerator) accuracy: {}   [CONV rounds: {}, FC rounds: {}]",
         pct(report.baseline),
@@ -467,10 +471,38 @@ fn print_fig7(
             pct(max)
         );
     }
-    result!(
-        "worst-case drop: {} (paper: 7.49% CNN_1 / 26.4% ResNet18 / 80.46% VGG16_v at 10% hotspot CONV+FC)",
-        pct(report.worst_drop())
-    );
+    // The paper quotes one operating point per model: uniform hotspot
+    // trojans on 10% of the CONV+FC rings.
+    let paper = match kind {
+        ModelKind::Cnn1 => "7.49%",
+        ModelKind::ResNet18s => "26.4%",
+        ModelKind::Vgg16s => "80.46%",
+    };
+    let point = report.filtered(|s| {
+        s.vectors == [VectorSpec::Hotspot]
+            && s.selection == Selection::Uniform
+            && s.target == AttackTarget::Both
+            && (s.fraction - 0.10).abs() < 1e-12
+    });
+    let ours = if point.is_empty() {
+        "— (not on this grid)".to_string()
+    } else {
+        let mean = point.iter().map(|t| t.accuracy).sum::<f64>() / point.len() as f64;
+        let drop = (report.baseline - mean) * 100.0;
+        format!("{drop:.2}% (mean of {} trials)", point.len())
+    };
+    result!("drop at 10% hotspot CONV+FC: {ours}   paper: {paper}");
+    let worst = report
+        .trials
+        .iter()
+        .min_by(|a, b| a.accuracy.total_cmp(&b.accuracy));
+    if let Some(worst) = worst {
+        result!(
+            "worst-case drop on the grid: {:.2}% at {}",
+            report.worst_drop() * 100.0,
+            worst.scenario.to_spec_string()
+        );
+    }
     write_artifact(
         out_dir,
         &format!("fig7_{}", kind.label().to_lowercase()),
@@ -481,13 +513,14 @@ fn print_fig7(
 }
 
 fn print_fig8(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
 ) -> Result<safelight::experiment::Fig8Run, SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Fig. 8 ({kind}): robustness of mitigation-trained variants ===");
-    let fig8 = safelight::experiment::run_fig8(kind, opts)?;
+    let fig8 = run_fig8(bench, opts)?;
     let report = &fig8.report;
     result!(
         "{:<10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -527,21 +560,22 @@ fn print_fig8(
 }
 
 fn print_fig9(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
     fig8: Option<safelight::experiment::Fig8Run>,
 ) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Fig. 9 ({kind}): robust vs original under CONV+FC attacks ===");
     // Fig. 9 needs Fig. 8's winner; reuse the run `--fig8` just produced
     // (the whole point of `Fig8Run`) and compute it only when Fig. 9 runs
     // alone.
     let fig8 = match fig8 {
         Some(fig8) => fig8,
-        None => safelight::experiment::run_fig8(kind, opts)?,
+        None => run_fig8(bench, opts)?,
     };
-    let (best, report) = run_fig9_from(&fig8, opts)?;
+    let (best, report) = run_fig9_from(bench, &fig8, opts)?;
     result!(
         "robust variant: {}   original baseline {}   robust baseline {}",
         best.label(),
@@ -586,13 +620,14 @@ fn print_fig9(
 }
 
 fn print_detection(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
 ) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Detection ({kind}): runtime trojan detection over the scenario grid ===");
-    let (_, report) = run_detection_experiment(kind, opts)?;
+    let report = run_detection_experiment(bench, opts)?;
     result!("{:<12} {:>12} {:>10}", "detector", "threshold", "cal. FPR");
     for op in &report.operating {
         result!(
@@ -647,7 +682,7 @@ fn print_detection(
 }
 
 fn print_serve(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
@@ -655,10 +690,27 @@ fn print_serve(
     profile: bool,
     slo: Option<SloSpec>,
 ) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Serving ({kind}): closed-loop secure serving runtime ===");
-    let observe = profile || slo.is_some();
-    let (_, report, obs) =
-        safelight_serve::eval::run_serving_experiment(kind, opts, arrival, observe, slo)?;
+    // One trial per scenario cell: the serving loop replays each scenario
+    // against a full request stream already.
+    let serving_opts = ServingOptions {
+        arrival,
+        slo,
+        ..ServingOptions::for_fidelity(opts.fidelity)
+    };
+    let (report, obs) = run_serving_observed(
+        &bench.original,
+        &bench.mapping,
+        bench.backend.as_ref(),
+        &bench.data.test,
+        &opts.fig7_grid(1),
+        &safelight::detect::default_detectors(),
+        &serving_opts,
+        opts.seed,
+        opts.threads,
+        profile || slo.is_some(),
+    )?;
     result!(
         "clean fleet accuracy: {}   [fleet {} × batch {} × {} batches, onset at {}, \
          arrival {}]",
@@ -778,7 +830,17 @@ fn print_serve(
         let mut rates = vec![0.25 * capacity, 0.5 * capacity, 0.75 * capacity, rate];
         rates.sort_by(f64::total_cmp);
         rates.dedup();
-        let (_, sweep) = safelight_serve::eval::run_rate_sweep_experiment(kind, opts, &rates)?;
+        let sweep = run_rate_sweep(
+            &bench.original,
+            &bench.mapping,
+            bench.backend.as_ref(),
+            &bench.data.test,
+            &safelight::detect::default_detectors(),
+            &ServingOptions::for_fidelity(opts.fidelity),
+            &rates,
+            opts.seed,
+            opts.threads,
+        )?;
         result!(
             "\nthroughput-vs-p99 sweep (clean fleet, saturation at rate {}):",
             if sweep.saturation_rate.is_finite() {
@@ -820,7 +882,7 @@ fn print_serve(
 }
 
 fn print_chaos(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
     out_dir: &std::path::Path,
     json: bool,
@@ -828,10 +890,25 @@ fn print_chaos(
     profile: bool,
     slo: Option<SloSpec>,
 ) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Chaos ({kind}): benign faults vs trojans on the fault-tolerant runtime ===");
-    let observe = profile || slo.is_some();
-    let (_, report, obs) =
-        safelight_serve::chaos::run_chaos_experiment(kind, opts, arrival, observe, slo)?;
+    let serving_opts = ServingOptions {
+        arrival,
+        slo,
+        ..ServingOptions::for_fidelity(opts.fidelity)
+    };
+    let (report, obs) = run_chaos_observed(
+        &bench.original,
+        &bench.mapping,
+        bench.backend.as_ref(),
+        &bench.data.test,
+        &chaos_grid(serving_opts.onset_batch),
+        &safelight::detect::default_detectors(),
+        &serving_opts,
+        opts.seed,
+        opts.threads,
+        profile || slo.is_some(),
+    )?;
     result!(
         "clean fleet accuracy: {}   [fleet {} × batch {} × {} batches, trojan onset at {}, \
          arrival {}]",
@@ -933,9 +1010,9 @@ fn print_chaos(
     Ok(())
 }
 
-fn print_ablation(kind: ModelKind, opts: &ExperimentOptions) -> Result<(), SafelightError> {
+fn print_ablation(bench: &ModelWorkbench, opts: &ExperimentOptions) -> Result<(), SafelightError> {
+    let kind = bench.kind;
     result!("\n=== Ablation ({kind}): noise-aware training without L2 ===");
-    let bench = workbench(kind, opts)?;
     let recipe = opts.recipe(kind);
     let mut variants = vec![(VariantKind::Original, bench.original.clone())];
     for variant in noise_ablation_variants().into_iter().step_by(2) {
@@ -1011,24 +1088,37 @@ fn main() {
         if args.fig6 {
             print_fig6(&opts, &args.out_dir)?;
         }
+        let per_model = args.fig7
+            || args.fig8
+            || args.fig9
+            || args.detection
+            || args.serve
+            || args.chaos
+            || args.ablation;
+        if !per_model {
+            return Ok(());
+        }
         for &kind in &args.models {
+            // One workbench per model: every experiment below reads the
+            // same data, mapping, trained network and backend.
+            let bench = workbench(kind, &opts)?;
             if args.fig7 {
-                print_fig7(kind, &opts, &args.out_dir, args.json)?;
+                print_fig7(&bench, &opts, &args.out_dir, args.json)?;
             }
             let fig8 = if args.fig8 {
-                Some(print_fig8(kind, &opts, &args.out_dir, args.json)?)
+                Some(print_fig8(&bench, &opts, &args.out_dir, args.json)?)
             } else {
                 None
             };
             if args.fig9 {
-                print_fig9(kind, &opts, &args.out_dir, args.json, fig8)?;
+                print_fig9(&bench, &opts, &args.out_dir, args.json, fig8)?;
             }
             if args.detection {
-                print_detection(kind, &opts, &args.out_dir, args.json)?;
+                print_detection(&bench, &opts, &args.out_dir, args.json)?;
             }
             if args.serve {
                 print_serve(
-                    kind,
+                    &bench,
                     &opts,
                     &args.out_dir,
                     args.json,
@@ -1039,7 +1129,7 @@ fn main() {
             }
             if args.chaos {
                 print_chaos(
-                    kind,
+                    &bench,
                     &opts,
                     &args.out_dir,
                     args.json,
@@ -1049,7 +1139,7 @@ fn main() {
                 )?;
             }
             if args.ablation {
-                print_ablation(kind, &opts)?;
+                print_ablation(&bench, &opts)?;
             }
         }
         Ok(())

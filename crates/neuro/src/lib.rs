@@ -82,7 +82,7 @@ pub use layers::{
 };
 pub use linalg::{matmul, matmul_a_bt, matmul_at_b, matmul_with, GemmImpl};
 pub use loss::{softmax, softmax_cross_entropy};
-pub use metrics::{accuracy, confusion_matrix};
+pub use metrics::accuracy;
 pub use model::Network;
 pub use optim::{Sgd, SgdConfig};
 pub use rng::SimRng;

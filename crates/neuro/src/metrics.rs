@@ -47,37 +47,6 @@ pub fn accuracy<D: Dataset + ?Sized>(
     Ok(correct as f64 / n as f64)
 }
 
-/// Confusion matrix `[true_class][predicted_class]` of `network` over
-/// `dataset`.
-///
-/// # Errors
-///
-/// Propagates dataset and forward-pass errors.
-pub fn confusion_matrix<D: Dataset + ?Sized>(
-    network: &mut Network,
-    dataset: &D,
-    batch_size: usize,
-) -> Result<Vec<Vec<usize>>, NeuroError> {
-    let classes = dataset.classes();
-    let mut matrix = vec![vec![0usize; classes]; classes];
-    let batch_size = batch_size.max(1);
-    let n = dataset.len();
-    let mut index = 0usize;
-    while index < n {
-        let end = (index + batch_size).min(n);
-        let indices: Vec<usize> = (index..end).collect();
-        let (batch, labels) = dataset.batch(&indices)?;
-        let preds = network.predict(&batch)?;
-        for (p, l) in preds.iter().zip(&labels) {
-            if *l < classes && *p < classes {
-                matrix[*l][*p] += 1;
-            }
-        }
-        index = end;
-    }
-    Ok(matrix)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +87,5 @@ mod tests {
         let a1 = accuracy(&mut net, &dataset(), 1).unwrap();
         let a4 = accuracy(&mut net, &dataset(), 4).unwrap();
         assert_eq!(a1, a4);
-    }
-
-    #[test]
-    fn confusion_matrix_rows_sum_to_class_counts() {
-        let mut net = identity_net();
-        let m = confusion_matrix(&mut net, &dataset(), 2).unwrap();
-        assert_eq!(m[0].iter().sum::<usize>(), 1);
-        assert_eq!(m[1].iter().sum::<usize>(), 3);
-        assert_eq!(m[1][0], 1); // the mislabelled item
     }
 }

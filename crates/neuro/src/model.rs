@@ -52,11 +52,6 @@ impl Network {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends an already boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -67,12 +62,6 @@ impl Network {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Layer names in order (useful for reports).
-    #[must_use]
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 
     /// Runs the network forward.

@@ -95,12 +95,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape of equal length.
     ///
     /// # Errors

@@ -18,7 +18,8 @@
 //! defaults, e.g. `avail=0.95,p99=8,p999=16,shed=0.02,spurious=0`, with
 //! `default` as an alias for the stock spec; [`SloSpec`] round-trips
 //! through `Display`/`FromStr` so `repro --slo SPEC` can both parse and
-//! reprint it.
+//! reprint it. Parsing rejects a non-finite field, an `avail` or `shed`
+//! outside [0, 1] and a non-positive `p99` or `p999`.
 
 use crate::metrics::{split_labels, MetricsSnapshot, SnapshotValue};
 use std::collections::BTreeMap;
@@ -83,27 +84,37 @@ impl FromStr for SloSpec {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("SLO spec field {part:?} is not key=value"))?;
-            let num = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("SLO spec field {key}={value:?} is not a number"))
-            };
-            match key.trim() {
-                "avail" | "availability" => spec.availability = num()?,
-                "p99" => spec.p99_latency_ticks = num()?,
-                "p999" => spec.p999_latency_ticks = num()?,
-                "shed" => spec.shed_rate = num()?,
-                "spurious" => {
-                    spec.spurious_quarantine_budget = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("SLO spec field spurious={value:?} is not a count"))?;
-                }
+            let key = key.trim();
+            if key == "spurious" {
+                spec.spurious_quarantine_budget = value
+                    .parse::<u64>()
+                    .map_err(|_| format!("SLO spec field spurious={value:?} is not a count"))?;
+                continue;
+            }
+            let (field, is_fraction) = match key {
+                "avail" | "availability" => (&mut spec.availability, true),
+                "p99" => (&mut spec.p99_latency_ticks, false),
+                "p999" => (&mut spec.p999_latency_ticks, false),
+                "shed" => (&mut spec.shed_rate, true),
                 other => {
                     return Err(format!(
                         "unknown SLO spec key {other:?} (avail, p99, p999, shed, spurious)"
                     ))
                 }
+            };
+            let x = value
+                .parse::<f64>()
+                .map_err(|_| format!("SLO spec field {key}={value:?} is not a number"))?;
+            // NaN fails both checks, so no non-finite value gets through.
+            let (valid, expected) = if is_fraction {
+                ((0.0..=1.0).contains(&x), "a finite fraction in [0, 1]")
+            } else {
+                (x.is_finite() && x > 0.0, "a positive, finite tick count")
+            };
+            if !valid {
+                return Err(format!("SLO spec field {key}={value:?} must be {expected}"));
             }
+            *field = x;
         }
         Ok(spec)
     }
@@ -542,12 +553,52 @@ mod tests {
         assert_eq!(printed, "avail=0.95,p99=8,p999=20,shed=0.02,spurious=1");
         assert_eq!(printed.parse::<SloSpec>().unwrap(), spec);
         assert_eq!("default".parse::<SloSpec>().unwrap(), SloSpec::default());
+        for stock in [
+            "avail=0.9,p99=16,p999=32,shed=0.05,spurious=0",
+            "avail=0.9,p99=16,shed=0.05",
+        ] {
+            assert_eq!(stock.parse::<SloSpec>().unwrap(), SloSpec::default());
+        }
         // Partial specs override the defaults field-wise.
         let partial: SloSpec = "p99=4".parse().unwrap();
         assert_eq!(partial.p99_latency_ticks, 4.0);
         assert_eq!(partial.availability, SloSpec::default().availability);
         assert!("bogus=1".parse::<SloSpec>().is_err());
         assert!("p99=abc".parse::<SloSpec>().is_err());
+    }
+
+    /// The error of a rejected spec, which must name the offending field.
+    fn rejected(spec: &str, field: &str) {
+        let err = spec.parse::<SloSpec>().unwrap_err();
+        assert!(err.contains(field), "{spec:?} gave {err:?}");
+    }
+
+    #[test]
+    fn slo_spec_rejects_non_finite_fields() {
+        for field in ["avail", "p99", "p999", "shed"] {
+            rejected(&format!("{field}=nan"), field);
+            rejected(&format!("{field}=inf"), field);
+            rejected(&format!("{field}=-inf"), field);
+        }
+    }
+
+    #[test]
+    fn slo_spec_rejects_fractions_outside_the_unit_interval() {
+        rejected("avail=1.5", "avail");
+        rejected("avail=-0.1", "avail");
+        rejected("shed=2", "shed");
+        rejected("shed=-0.5", "shed");
+        // The closed interval's ends are legal targets.
+        assert_eq!("avail=1".parse::<SloSpec>().unwrap().availability, 1.0);
+        assert_eq!("shed=0".parse::<SloSpec>().unwrap().shed_rate, 0.0);
+    }
+
+    #[test]
+    fn slo_spec_rejects_non_positive_latency_bounds() {
+        rejected("p99=0", "p99");
+        rejected("p99=-4", "p99");
+        rejected("p999=0", "p999");
+        rejected("p999=-32", "p999");
     }
 
     #[test]

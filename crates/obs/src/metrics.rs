@@ -144,9 +144,6 @@ impl HistogramConfig {
 /// spills depends only on the total observation count and
 /// finiteness, never on thread interleaving, and the retained multiset
 /// is order-independent, so percentiles stay deterministic artifacts.
-/// Merging adds bucket counts, which is associative and commutative;
-/// reservoirs concatenate while the union fits and spill otherwise,
-/// which preserves associativity of the merged state.
 #[derive(Debug)]
 pub struct Histogram {
     config: HistogramConfig,
@@ -290,56 +287,6 @@ impl Histogram {
             }
         }
         self.max()
-    }
-
-    /// Fold another histogram (same config) into this one. Bucket-count
-    /// addition, so merging is associative and commutative; panics on a
-    /// config mismatch.
-    pub fn merge(&self, other: &Histogram) {
-        assert_eq!(
-            self.config, other.config,
-            "histogram config mismatch in merge"
-        );
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        fold_f64(&self.sum_bits, other.sum(), |a, b| a + b);
-        fold_f64(
-            &self.min_bits,
-            f64::from_bits(other.min_bits.load(Ordering::Relaxed)),
-            f64::min,
-        );
-        fold_f64(
-            &self.max_bits,
-            f64::from_bits(other.max_bits.load(Ordering::Relaxed)),
-            f64::max,
-        );
-        // Reservoirs concatenate while both sides are exact and the union
-        // still fits; otherwise this side spills. The final spilled state
-        // depends only on the total count and per-part spill flags, never
-        // on merge grouping, so merging stays associative.
-        let theirs = {
-            let o = other.samples.lock().unwrap_or_else(|e| e.into_inner());
-            if other.spilled.load(Ordering::Relaxed) {
-                None
-            } else {
-                Some(o.clone())
-            }
-        };
-        let mut mine = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        match theirs {
-            Some(os)
-                if !self.spilled.load(Ordering::Relaxed)
-                    && mine.len() + os.len() <= EXACT_SAMPLE_CAP =>
-            {
-                mine.extend_from_slice(&os);
-            }
-            _ => {
-                self.spilled.store(true, Ordering::Relaxed);
-                mine.clear();
-                mine.shrink_to_fit();
-            }
-        }
     }
 }
 
@@ -771,45 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_associative() {
-        let cfg = HistogramConfig::latency_ticks();
-        let make = |vals: &[f64]| {
-            let h = Histogram::new(cfg);
-            for &v in vals {
-                h.observe(v);
-            }
-            h
-        };
-        // Integer-valued samples → exact sums → full associativity.
-        let a = make(&[1.0, 3.0, 900.0]);
-        let b = make(&[2.0, 2.0, 64.0]);
-        let c = make(&[17.0]);
-
-        // (a ⊕ b) ⊕ c
-        let left = make(&[]);
-        left.merge(&a);
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let bc = make(&[]);
-        bc.merge(&b);
-        bc.merge(&c);
-        let right = make(&[]);
-        right.merge(&a);
-        right.merge(&bc);
-
-        assert_eq!(left.bucket_counts(), right.bucket_counts());
-        assert_eq!(left.count(), right.count());
-        assert_eq!(left.sum(), right.sum());
-        assert_eq!(left.min(), right.min());
-        assert_eq!(left.max(), right.max());
-        // And merge agrees with recording everything into one histogram.
-        let direct = make(&[1.0, 3.0, 900.0, 2.0, 2.0, 64.0, 17.0]);
-        assert_eq!(left.bucket_counts(), direct.bucket_counts());
-        assert_eq!(left.sum(), direct.sum());
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_renders() {
         let reg = MetricsRegistry::new();
         reg.counter("z_total").add(2);
@@ -933,24 +841,6 @@ mod tests {
         // the estimate is the bucket upper bound, not the exact sample.
         assert_eq!(h.percentile(0.5), 8.0);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn merge_concatenates_exact_reservoirs() {
-        let cfg = HistogramConfig::latency_ticks();
-        let a = Histogram::new(cfg);
-        let b = Histogram::new(cfg);
-        for v in [5.0, 1.0, 9.0] {
-            a.observe(v);
-        }
-        for v in [2.0, 7.0] {
-            b.observe(v);
-        }
-        a.merge(&b);
-        // Exact nearest-rank over the union {1, 2, 5, 7, 9}.
-        assert_eq!(a.percentile(0.2), 1.0);
-        assert_eq!(a.percentile(0.5), 5.0);
-        assert_eq!(a.percentile(1.0), 9.0);
     }
 
     #[test]

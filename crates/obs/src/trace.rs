@@ -36,7 +36,6 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Number of shards. Collisions are harmless (brief lock sharing); more
 /// shards than typical worker counts keeps pushes uncontended.
@@ -195,19 +194,6 @@ impl Tracer {
         });
     }
 
-    /// Open a scoped span: the event is recorded when the guard drops,
-    /// with `wall_ns` set to the elapsed wall-clock time.
-    pub fn span(&self, vt: u64, stage: Stage, seq: u64, text: String) -> TraceSpan<'_> {
-        TraceSpan {
-            tracer: self,
-            vt,
-            stage,
-            seq,
-            text: Some(text),
-            start: Instant::now(),
-        }
-    }
-
     fn push(&self, ev: TraceEvent) {
         let mut shard = self.shards[Self::shard_index()]
             .lock()
@@ -239,35 +225,6 @@ impl Tracer {
         }
         all.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         all
-    }
-}
-
-/// Scoped span guard returned by [`Tracer::span`].
-pub struct TraceSpan<'a> {
-    tracer: &'a Tracer,
-    vt: u64,
-    stage: Stage,
-    seq: u64,
-    text: Option<String>,
-    start: Instant,
-}
-
-impl TraceSpan<'_> {
-    /// Append ` key=value` detail to the span's payload before it closes.
-    pub fn note(&mut self, detail: &str) {
-        if let Some(text) = &mut self.text {
-            text.push(' ');
-            text.push_str(detail);
-        }
-    }
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        let text = self.text.take().unwrap_or_default();
-        let wall_ns = self.start.elapsed().as_nanos() as u64;
-        self.tracer
-            .event_timed(self.vt, self.stage, self.seq, text, wall_ns);
     }
 }
 
@@ -370,19 +327,6 @@ mod tests {
         assert!(!committed.contains("wall"));
         let profile = render_profile(&events);
         assert!(profile.contains("wall_ns=12345"));
-    }
-
-    #[test]
-    fn span_records_on_drop_with_duration() {
-        let t = Tracer::new();
-        {
-            let mut span = t.span(7, Stage::Serve, 3, "event=batch".into());
-            span.note("member=2");
-        }
-        let events = t.drain_sorted();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].vt, 7);
-        assert_eq!(events[0].text, "event=batch member=2");
     }
 
     #[test]

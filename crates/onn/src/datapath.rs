@@ -443,14 +443,6 @@ pub struct RowTap {
     pub negative_ma: f64,
 }
 
-impl RowTap {
-    /// Total monitored photocurrent across both rails.
-    #[must_use]
-    pub fn total_ma(&self) -> f64 {
-        self.positive_ma + self.negative_ma
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +536,6 @@ mod tests {
         // Three positive-rail weights vs one negative: the positive monitor
         // collects more light.
         assert!(tap.positive_ma > tap.negative_ma);
-        assert!(tap.total_ma() > 0.0);
         // Parking a positive-rail ring removes its drop-port contribution
         // from the monitored current — the detection signature.
         let mut attacked = healthy.clone();

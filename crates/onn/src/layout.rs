@@ -1,8 +1,7 @@
 //! Physical placement of a block's VDP banks on a thermal grid.
 
-use safelight_thermal::{Floorplan, TemperatureField, ThermalConfig, ThermalGrid};
+use safelight_thermal::{Floorplan, ThermalConfig, ThermalGrid};
 
-use crate::condition::ConditionMap;
 use crate::config::{BlockConfig, BlockKind};
 use crate::OnnError;
 
@@ -136,36 +135,12 @@ impl BlockLayout {
         let per_bank = self.shape.mrs_per_bank() as u64;
         Ok(vdp as u64 * per_bank..(vdp as u64 + 1) * per_bank)
     }
-
-    /// Folds a solved temperature field into `conditions`: every microring
-    /// whose cell rose more than `threshold_kelvin` above ambient gains a
-    /// [`Heated`](crate::MrCondition::Heated) entry (on top of any existing
-    /// condition), capturing both attacked banks and neighbour spill-over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OnnError::Thermal`] when the field does not cover the
-    /// floorplan.
-    pub fn apply_field(
-        &self,
-        field: &TemperatureField,
-        conditions: &mut ConditionMap,
-        threshold_kelvin: f64,
-    ) -> Result<(), OnnError> {
-        for mr in 0..self.shape.total_mrs() {
-            let (x, y) = self.cell_of_mr(mr)?;
-            let dt = field.delta_at(x, y)?;
-            if dt > threshold_kelvin {
-                conditions.add_heat(self.kind, mr, dt);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::ConditionMap;
     use safelight_thermal::Rect;
 
     fn layout() -> BlockLayout {
@@ -229,7 +204,13 @@ mod tests {
         grid.add_power_region(target, 0.08).unwrap();
         let field = grid.solve();
         let mut conditions = ConditionMap::new();
-        l.apply_field(&field, &mut conditions, 0.5).unwrap();
+        for mr in (0..l.bank_count()).flat_map(|b| l.mrs_in_bank(b).unwrap()) {
+            let (x, y) = l.cell_of_mr(mr).unwrap();
+            let dt = field.delta_at(x, y).unwrap();
+            if dt > 0.5 {
+                conditions.add_heat(BlockKind::Conv, mr, dt);
+            }
+        }
         // Every ring of the attacked bank is heated.
         for mr in l.mrs_in_bank(0).unwrap() {
             assert!(

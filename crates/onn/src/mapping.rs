@@ -372,12 +372,6 @@ impl WeightMapping {
         out
     }
 
-    /// Number of layers mapped.
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The layer specs, in mapping order.
     #[must_use]
     pub fn layer_specs(&self) -> Vec<&LayerSpec> {

@@ -209,12 +209,6 @@ impl SensorHealthScreen {
         Ok(())
     }
 
-    /// `true` once [`SensorHealthScreen::calibrate`] has run.
-    #[must_use]
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated
-    }
-
     /// Clears sequential (stuck-run) state, keeping calibration and
     /// quarantines.
     pub fn reset(&mut self) {
@@ -433,7 +427,6 @@ mod tests {
         let mut screen = SensorHealthScreen::default();
         let mut f = frames(&ConditionMap::new(), 1, 0).remove(0);
         f.set_channel(BlockKind::Fc, 0, SensorChannel::DropCurrent, f64::NAN);
-        assert!(!screen.is_calibrated());
         assert!(screen.screen(&f).is_clean());
         assert!(screen.calibrate(&[]).is_err());
     }

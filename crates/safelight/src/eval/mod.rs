@@ -75,12 +75,6 @@ impl BoxStats {
             max: sorted[sorted.len() - 1],
         })
     }
-
-    /// Interquartile range.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Maps `items` through `work` in input order, fanning out across the
@@ -113,7 +107,7 @@ mod tests {
         assert_eq!(s.min, 0.7);
         assert_eq!(s.max, 0.7);
         assert_eq!(s.median, 0.7);
-        assert_eq!(s.iqr(), 0.0);
+        assert_eq!(s.q1, s.q3);
     }
 
     #[test]

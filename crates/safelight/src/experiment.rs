@@ -163,11 +163,6 @@ impl ExperimentOptions {
 
     /// The Fig. 7 scenario grid implied by these options: every configured
     /// vector stack × selection × target × fraction, with `trials` trials.
-    ///
-    /// (The dead `accelerator()` helper that used to live here returned
-    /// `AcceleratorConfig::scaled_experiment`, silently diverging from the
-    /// per-model `matched_accelerator` profile [`workbench`] actually uses;
-    /// it has been removed rather than left as a trap.)
     #[must_use]
     pub fn fig7_grid(&self, trials: u64) -> Vec<crate::attack::ScenarioSpec> {
         scenario_grid_for(&self.vectors, &self.selections, &self.fractions(), trials)
@@ -288,19 +283,18 @@ pub fn run_fig6(opts: &ExperimentOptions) -> Result<Fig6Artifact, SafelightError
     })
 }
 
-/// Reproduces one panel of Fig. 7: the susceptibility sweep of `kind`
-/// across the full §IV scenario grid.
+/// Reproduces one panel of Fig. 7: the susceptibility sweep of the
+/// workbench's model across the full §IV scenario grid.
 ///
 /// # Errors
 ///
-/// Propagates workbench and sweep errors.
+/// Propagates sweep errors.
 pub fn run_fig7(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
-) -> Result<(ModelWorkbench, SusceptibilityReport), SafelightError> {
-    let bench = workbench(kind, opts)?;
+) -> Result<SusceptibilityReport, SafelightError> {
     let scenarios = opts.fig7_grid(opts.fig7_trials());
-    let report = run_susceptibility(
+    run_susceptibility(
         &bench.original,
         &bench.mapping,
         bench.backend.as_ref(),
@@ -308,20 +302,17 @@ pub fn run_fig7(
         &scenarios,
         opts.seed,
         opts.threads,
-    )?;
-    Ok((bench, report))
+    )
 }
 
-/// The full Fig. 8 artifact: the shared workbench, every trained variant
-/// network, and the robustness report.
+/// The full Fig. 8 artifact: every trained variant network and the
+/// robustness report.
 ///
-/// Carrying the trained networks out of [`run_fig8`] lets [`run_fig9`]
+/// Carrying the trained networks out of [`run_fig8`] lets [`run_fig9_from`]
 /// reuse the winning variant instead of retraining it (with
 /// `cache_dir: None` the retrain used to double the most expensive step).
 #[derive(Debug, Clone)]
 pub struct Fig8Run {
-    /// Data, mapping and the original network.
-    pub workbench: ModelWorkbench,
     /// Every Fig. 8 variant with its trained network, in axis order.
     pub variants: Vec<(VariantKind, Network)>,
     /// The robustness summary per variant.
@@ -339,21 +330,20 @@ impl Fig8Run {
     }
 }
 
-/// Runs the runtime-detection evaluation for `kind`: trains (or loads) the
-/// original model, builds the scenario grid implied by the options'
+/// Runs the runtime-detection evaluation on the workbench's original
+/// model: builds the scenario grid implied by the options'
 /// vectors/selections with [`ExperimentOptions::detection_trials`] trials,
 /// and measures the stock detector suite ([`crate::detect`]) against it.
 ///
 /// # Errors
 ///
-/// Propagates workbench and detection-evaluation errors.
+/// Propagates detection-evaluation errors.
 pub fn run_detection_experiment(
-    kind: ModelKind,
+    bench: &ModelWorkbench,
     opts: &ExperimentOptions,
-) -> Result<(ModelWorkbench, crate::eval::DetectionReport), SafelightError> {
-    let bench = workbench(kind, opts)?;
+) -> Result<crate::eval::DetectionReport, SafelightError> {
     let scenarios = opts.fig7_grid(opts.detection_trials());
-    let report = crate::eval::run_detection(
+    crate::eval::run_detection(
         &bench.original,
         &bench.mapping,
         bench.backend.as_ref(),
@@ -362,8 +352,7 @@ pub fn run_detection_experiment(
         &opts.detection_options(),
         opts.seed,
         opts.threads,
-    )?;
-    Ok((bench, report))
+    )
 }
 
 /// Reproduces one panel of Fig. 8: trains every variant on the Fig. 8 axis
@@ -373,13 +362,15 @@ pub fn run_detection_experiment(
 /// # Errors
 ///
 /// Propagates training and evaluation errors.
-pub fn run_fig8(kind: ModelKind, opts: &ExperimentOptions) -> Result<Fig8Run, SafelightError> {
-    let bench = workbench(kind, opts)?;
-    let recipe = opts.recipe(kind);
+pub fn run_fig8(
+    bench: &ModelWorkbench,
+    opts: &ExperimentOptions,
+) -> Result<Fig8Run, SafelightError> {
+    let recipe = opts.recipe(bench.kind);
     let mut variants = Vec::new();
     for variant in fig8_variants() {
         let network = train_variant(
-            kind,
+            bench.kind,
             variant,
             &bench.data,
             &recipe,
@@ -397,16 +388,12 @@ pub fn run_fig8(kind: ModelKind, opts: &ExperimentOptions) -> Result<Fig8Run, Sa
         opts.seed,
         opts.threads,
     )?;
-    Ok(Fig8Run {
-        workbench: bench,
-        variants,
-        report,
-    })
+    Ok(Fig8Run { variants, report })
 }
 
 /// The Fig. 9 comparison for an already-computed Fig. 8 run: picks the most
 /// robust variant *from the run's trained networks* and compares it against
-/// the original model at every attack intensity.
+/// the workbench's original model at every attack intensity.
 ///
 /// This function takes no training inputs at all — it cannot retrain, which
 /// is the point: the winner was just trained by [`run_fig8`].
@@ -415,6 +402,7 @@ pub fn run_fig8(kind: ModelKind, opts: &ExperimentOptions) -> Result<Fig8Run, Sa
 ///
 /// Propagates evaluation errors.
 pub fn run_fig9_from(
+    bench: &ModelWorkbench,
     fig8: &Fig8Run,
     opts: &ExperimentOptions,
 ) -> Result<(VariantKind, RecoveryReport), SafelightError> {
@@ -426,7 +414,6 @@ pub fn run_fig9_from(
     let robust = fig8
         .trained(best)
         .expect("the most robust variant was trained in this run");
-    let bench = &fig8.workbench;
     let report = run_recovery(
         &bench.original,
         robust,
@@ -439,22 +426,6 @@ pub fn run_fig9_from(
         opts.threads,
     )?;
     Ok((best, report))
-}
-
-/// Reproduces one panel of Fig. 9: picks the most robust Fig. 8 variant
-/// and compares it against the original model at every attack intensity.
-///
-/// Returns the chosen variant alongside the report.
-///
-/// # Errors
-///
-/// Propagates training and evaluation errors.
-pub fn run_fig9(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-) -> Result<(VariantKind, RecoveryReport), SafelightError> {
-    let fig8 = run_fig8(kind, opts)?;
-    run_fig9_from(&fig8, opts)
 }
 
 #[cfg(test)]
@@ -544,15 +515,15 @@ mod tests {
         let mapping = WeightMapping::new(&config, &bundle.layer_specs).unwrap();
         let original = bundle.network.clone();
         let better = build_model(ModelKind::Cnn1, 8).unwrap().network;
+        let bench = ModelWorkbench {
+            kind: ModelKind::Cnn1,
+            backend: safelight_onn::BackendKind::Fast.build(&config),
+            data,
+            config,
+            mapping,
+            original: original.clone(),
+        };
         let fig8 = Fig8Run {
-            workbench: ModelWorkbench {
-                kind: ModelKind::Cnn1,
-                backend: safelight_onn::BackendKind::Fast.build(&config),
-                data,
-                config,
-                mapping,
-                original: original.clone(),
-            },
             variants: vec![
                 (VariantKind::Original, original.clone()),
                 (VariantKind::L2Noise(3), better.clone()),
@@ -582,7 +553,7 @@ mod tests {
             threads: 1,
             ..tiny_opts()
         };
-        let (best, report) = run_fig9_from(&fig8, &opts).unwrap();
+        let (best, report) = run_fig9_from(&bench, &fig8, &opts).unwrap();
         assert_eq!(best, VariantKind::L2Noise(3));
         assert_eq!(report.intervals.len(), 2 * opts.fractions().len());
     }

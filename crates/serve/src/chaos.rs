@@ -29,12 +29,10 @@
 
 use safelight::attack::{AttackTarget, ScenarioSpec, Selection, VectorSpec};
 use safelight::detect::Detector;
-use safelight::experiment::{workbench, ExperimentOptions, ModelWorkbench};
 use safelight::fault::{FaultSpec, FaultVector};
-use safelight::models::ModelKind;
 use safelight::SafelightError;
 use safelight_neuro::{Dataset, Network};
-use safelight_obs::{percentile, SloInput, SloSpec, SloVerdict};
+use safelight_obs::{percentile, SloInput, SloVerdict};
 use safelight_onn::{InferenceBackend, SensorChannel, WeightMapping};
 
 use crate::eval::{run_cases, spec_stream_key, Case, ServingOptions};
@@ -548,47 +546,6 @@ pub fn run_chaos_observed<D: Dataset + Sync + ?Sized>(
         },
         runs.artifacts,
     ))
-}
-
-/// Runs the chaos experiment for `kind`: trains (or loads) the original
-/// model through the shared [`workbench`], builds the canonical
-/// [`chaos_grid`] at the fidelity's onset batch and evaluates the
-/// fault-tolerant runtime over it, with the streams replayed through
-/// `arrival` ([`ArrivalModel::Closed`] = the pre-request-plane loop). The
-/// observability plane is attached when `observe` is true (see
-/// [`run_chaos_observed`]), and an optional SLO spec judges every case
-/// (verdict columns, alert firings, incident reconstruction).
-///
-/// # Errors
-///
-/// Propagates workbench and chaos-evaluation errors.
-pub fn run_chaos_experiment(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-    arrival: ArrivalModel,
-    observe: bool,
-    slo: Option<SloSpec>,
-) -> Result<(ModelWorkbench, ChaosReport, Option<ObsArtifacts>), SafelightError> {
-    let bench = workbench(kind, opts)?;
-    let serving_opts = ServingOptions {
-        arrival,
-        slo,
-        ..ServingOptions::for_fidelity(opts.fidelity)
-    };
-    let cases = chaos_grid(serving_opts.onset_batch);
-    let (report, artifacts) = run_chaos_observed(
-        &bench.original,
-        &bench.mapping,
-        bench.backend.as_ref(),
-        &bench.data.test,
-        &cases,
-        &safelight::detect::default_detectors(),
-        &serving_opts,
-        opts.seed,
-        opts.threads,
-        observe,
-    )?;
-    Ok((bench, report, artifacts))
 }
 
 #[cfg(test)]

@@ -27,9 +27,8 @@ use std::sync::Arc;
 use safelight::attack::{RingSalience, ScenarioSpec, Selection};
 use safelight::detect::{Detector, GuardBandDetector};
 use safelight::eval::{inject_all, operating_rank, InjectedScenario};
-use safelight::experiment::{workbench, ExperimentOptions, Fidelity, ModelWorkbench};
+use safelight::experiment::Fidelity;
 use safelight::fault::{inject_fault, FaultSpec};
-use safelight::models::ModelKind;
 use safelight::SafelightError;
 use safelight_neuro::parallel::par_map;
 use safelight_neuro::{Dataset, Network};
@@ -958,74 +957,4 @@ pub fn run_rate_sweep<D: Dataset + Sync + ?Sized>(
         rows,
         saturation_rate,
     })
-}
-
-/// Runs the serving experiment for `kind`: trains (or loads) the original
-/// model through the shared [`workbench`], builds the scenario grid
-/// implied by the options' vectors/selections (one trial per cell — the
-/// serving loop replays each scenario against a full stream already) and
-/// evaluates the closed-loop runtime over it, with the stream replayed
-/// through `arrival` (pass [`ArrivalModel::Closed`] for the
-/// pre-request-plane behaviour). The observability plane is attached when
-/// `observe` is true (see [`run_serving_observed`]), and an optional SLO
-/// spec judges every row (verdict columns, alert firings, incident
-/// reconstruction).
-///
-/// # Errors
-///
-/// Propagates workbench and serving-evaluation errors.
-pub fn run_serving_experiment(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-    arrival: ArrivalModel,
-    observe: bool,
-    slo: Option<SloSpec>,
-) -> Result<(ModelWorkbench, ServingReport, Option<ObsArtifacts>), SafelightError> {
-    let bench = workbench(kind, opts)?;
-    let scenarios = opts.fig7_grid(1);
-    let serving_opts = ServingOptions {
-        arrival,
-        slo,
-        ..ServingOptions::for_fidelity(opts.fidelity)
-    };
-    let (report, artifacts) = run_serving_observed(
-        &bench.original,
-        &bench.mapping,
-        bench.backend.as_ref(),
-        &bench.data.test,
-        &scenarios,
-        &safelight::detect::default_detectors(),
-        &serving_opts,
-        opts.seed,
-        opts.threads,
-        observe,
-    )?;
-    Ok((bench, report, artifacts))
-}
-
-/// Runs the throughput-vs-p99 sweep for `kind` over `rates` on the shared
-/// [`workbench`] model (see [`run_rate_sweep`]).
-///
-/// # Errors
-///
-/// Propagates workbench and sweep errors.
-pub fn run_rate_sweep_experiment(
-    kind: ModelKind,
-    opts: &ExperimentOptions,
-    rates: &[f64],
-) -> Result<(ModelWorkbench, RateSweepReport), SafelightError> {
-    let bench = workbench(kind, opts)?;
-    let serving_opts = ServingOptions::for_fidelity(opts.fidelity);
-    let report = run_rate_sweep(
-        &bench.original,
-        &bench.mapping,
-        bench.backend.as_ref(),
-        &bench.data.test,
-        &safelight::detect::default_detectors(),
-        &serving_opts,
-        rates,
-        opts.seed,
-        opts.threads,
-    )?;
-    Ok((bench, report))
 }

@@ -114,14 +114,10 @@ pub mod report;
 pub mod runtime;
 pub mod scheduler;
 
-pub use chaos::{
-    chaos_grid, run_chaos, run_chaos_experiment, run_chaos_observed, ChaosCase, ChaosReport,
-    ChaosRow,
-};
+pub use chaos::{chaos_grid, run_chaos, run_chaos_observed, ChaosCase, ChaosReport, ChaosRow};
 pub use eval::{
-    run_rate_sweep, run_rate_sweep_experiment, run_serving, run_serving_experiment,
-    run_serving_observed, RatePoint, RateSweepReport, ScenarioServing, ServingOptions,
-    ServingReport,
+    run_rate_sweep, run_serving, run_serving_observed, RatePoint, RateSweepReport, ScenarioServing,
+    ServingOptions, ServingReport,
 };
 pub use incident::{
     incidents_from_trace, incidents_json, incidents_txt, IncidentReport, Milestone, RootCauseKind,

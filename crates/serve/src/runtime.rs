@@ -489,6 +489,31 @@ impl std::fmt::Debug for FleetMember {
     }
 }
 
+/// Re-baselines a member's detector suite, localization guard and health
+/// screen on `frames` (at least one) attack-free frames synthesized from
+/// `probe` at indices `base..` under `seed`. The screen keeps its operator
+/// quarantines: re-baselining does not un-break a sensor.
+fn rebaseline(
+    suite: &mut [Box<dyn Detector>],
+    guard: &mut GuardBandDetector,
+    screen: &mut SensorHealthScreen,
+    probe: &TelemetryProbe,
+    base: u64,
+    seed: u64,
+    frames: usize,
+) -> Result<(), SafelightError> {
+    let synth: Vec<TelemetryFrame> = (0..frames.max(1) as u64)
+        .map(|i| probe.frame(base + i, seed))
+        .collect();
+    for d in suite {
+        d.calibrate(&synth)?;
+        d.reset();
+    }
+    guard.calibrate(&synth)?;
+    screen.calibrate(&synth)?;
+    Ok(())
+}
+
 impl FleetMember {
     /// Builds a member from the clean trained `network`, deriving the
     /// effective executor network, sentinel plan and telemetry probe
@@ -642,14 +667,6 @@ impl FleetMember {
         self.restarts
     }
 
-    /// Sensor channels the response policy has quarantined on this member
-    /// (maintenance inventory; distinct from bank quarantines, which spend
-    /// spare rings).
-    #[must_use]
-    pub fn quarantined_sensors(&self) -> &[ChannelKey] {
-        self.screen.quarantined_channels()
-    }
-
     /// Arms a benign-fault plan: from its onset batch the plan corrupts
     /// this member's *raw telemetry* (sensors lying about a healthy
     /// datapath — the optical physics is untouched).
@@ -797,20 +814,15 @@ impl FleetMember {
         );
         // Frame indices far above any serving stream keep the synthesized
         // calibration noise disjoint from scored frames.
-        let base = 1u64 << 48;
-        let synth: Vec<TelemetryFrame> = (0..frames.max(1) as u64)
-            .map(|i| self.probe.frame(base + i, seed))
-            .collect();
-        for d in &mut self.suite {
-            d.calibrate(&synth)?;
-            d.reset();
-        }
-        self.guard.calibrate(&synth)?;
-        // The screen re-baselines too (a remap moves sensor means), keeping
-        // its operator quarantines — re-baselining does not un-break a
-        // sensor.
-        self.screen.calibrate(&synth)?;
-        Ok(())
+        rebaseline(
+            &mut self.suite,
+            &mut self.guard,
+            &mut self.screen,
+            &self.probe,
+            1 << 48,
+            seed,
+            frames,
+        )
     }
 
     /// Quarantines every ring of the implicated `banks`, remaps the
@@ -923,16 +935,15 @@ impl FleetMember {
             fold(stream_seed, self.noise_salt),
             0x4EC0_7E4A ^ self.restarts as u64,
         );
-        let base = 1u64 << 46;
-        let synth: Vec<TelemetryFrame> = (0..recalibration_frames.max(1) as u64)
-            .map(|i| clean_probe.frame(base + i, seed))
-            .collect();
-        for d in &mut self.suite {
-            d.calibrate(&synth)?;
-            d.reset();
-        }
-        self.guard.calibrate(&synth)?;
-        self.screen.calibrate(&synth)?;
+        rebaseline(
+            &mut self.suite,
+            &mut self.guard,
+            &mut self.screen,
+            &clean_probe,
+            1 << 46,
+            seed,
+            recalibration_frames,
+        )?;
         self.state = MemberState::Healthy;
         self.restart_until = None;
         Ok(())

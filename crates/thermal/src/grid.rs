@@ -184,12 +184,6 @@ impl ThermalGrid {
         Ok(())
     }
 
-    /// Total dissipated power currently placed on the grid, in watts.
-    #[must_use]
-    pub fn total_power_w(&self) -> f64 {
-        self.power_w.iter().sum()
-    }
-
     /// Power at cell `(x, y)` in watts.
     ///
     /// # Errors
@@ -206,11 +200,6 @@ impl ThermalGrid {
             });
         }
         Ok(self.power_w[y * self.width + x])
-    }
-
-    /// Clears all heat sources.
-    pub fn clear_power(&mut self) {
-        self.power_w.fill(0.0);
     }
 
     /// Solves for the steady-state temperature field.
@@ -256,7 +245,6 @@ mod tests {
         g.add_power(1, 2, 0.5).unwrap();
         g.add_power(1, 2, 0.25).unwrap();
         assert!((g.power_at(1, 2).unwrap() - 0.75).abs() < 1e-12);
-        assert!((g.total_power_w() - 0.75).abs() < 1e-12);
     }
 
     #[test]

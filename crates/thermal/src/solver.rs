@@ -71,13 +71,6 @@ impl TemperatureField {
             - self.ambient_k
     }
 
-    /// Mean temperature rise over ambient, in kelvin.
-    #[must_use]
-    pub fn mean_delta(&self) -> f64 {
-        let n = self.temperatures_k.len() as f64;
-        self.temperatures_k.iter().sum::<f64>() / n - self.ambient_k
-    }
-
     /// Mean temperature rise over the cells of a rectangle, in kelvin.
     ///
     /// # Errors

@@ -5,7 +5,7 @@
 //! cargo run --release --example susceptibility_sweep
 //! ```
 
-use safelight::experiment::{run_fig7, ExperimentOptions, Fidelity};
+use safelight::experiment::{run_fig7, workbench, ExperimentOptions, Fidelity};
 use safelight::models::ModelKind;
 use safelight::prelude::*;
 
@@ -14,7 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fidelity: Fidelity::Quick,
         ..ExperimentOptions::default()
     };
-    let (bench, report) = run_fig7(ModelKind::Cnn1, &opts)?;
+    let bench = workbench(ModelKind::Cnn1, &opts)?;
+    let report = run_fig7(&bench, &opts)?;
     println!(
         "CNN_1 on the matched accelerator (CONV rounds {}, FC rounds {})",
         bench.mapping.rounds(BlockKind::Conv),
