@@ -5,9 +5,11 @@
 //! put a thread-create/join on the critical path of every convolution
 //! forward. This module instead lazily spawns one long-lived pool (sized by
 //! `SAFELIGHT_THREADS` or [`std::thread::available_parallelism`]) and gives
-//! callers three entry points:
+//! callers four entry points:
 //!
 //! * [`scoped_map`] — run one closure per item, results in item order;
+//! * [`par_map`] — the same with at most `threads` tasks, each claiming
+//!   the next unclaimed item until none is left;
 //! * [`join_chunks`] — split `0..n` into contiguous chunks (the seed API);
 //! * `map_blocks` (crate-internal) — split `0..n` into **fixed-size** blocks, so the
 //!   decomposition — and therefore any floating-point reduction order built
@@ -34,6 +36,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A lifetime-erased unit of work.
@@ -257,11 +260,16 @@ where
 /// `threads > 1`. Drop-in replacement for the seed's per-call scoped
 /// thread fan-out used by the evaluation pipelines.
 ///
-/// `threads` bounds the concurrency like the seed API did: items are
-/// grouped into at most `threads` contiguous chunks, each processed
-/// serially by one pool task, so `threads = 2` occupies at most two
-/// workers however large the shared pool is. Results keep item order
-/// regardless of the grouping.
+/// `threads` bounds the concurrency like the seed API did: at most
+/// `threads` pool tasks run the items, so `threads = 2` occupies at most
+/// two workers however large the shared pool is. The tasks claim items
+/// one at a time through a shared cursor instead of each taking a
+/// contiguous chunk, so a run of expensive items spreads over every task
+/// rather than landing on one. Each result is stored at its item's index,
+/// so the output keeps item order whichever task ran which item.
+///
+/// A panic in any `work` call is re-thrown here after every item has
+/// finished.
 pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, work: F) -> Vec<R>
 where
     T: Send,
@@ -275,20 +283,45 @@ where
     if threads >= items.len() {
         return scoped_map(items, work);
     }
-    let chunk = items.len().div_ceil(threads);
-    let mut items = items;
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    while !items.is_empty() {
-        let rest = items.split_off(chunk.min(items.len()));
-        chunks.push(std::mem::replace(&mut items, rest));
+    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    scoped_map(vec![(); threads], |()| {
+        // Claim the next unclaimed item until none is left. Each panic is
+        // caught per item, so the task goes on claiming and every item runs.
+        // The cursor only hands out indices (items and results travel
+        // through their mutexes), so `Relaxed` suffices.
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(input) = inputs.get(i) else { break };
+            let item = input
+                .lock()
+                .expect("input slot poisoned")
+                .take()
+                .expect("every item is claimed once");
+            match catch_unwind(AssertUnwindSafe(|| work(item))) {
+                Ok(result) => *outputs[i].lock().expect("result slot poisoned") = Some(result),
+                Err(payload) => {
+                    panic
+                        .lock()
+                        .expect("panic slot poisoned")
+                        .get_or_insert(payload);
+                }
+            }
+        }
+    });
+    if let Some(payload) = panic.into_inner().expect("panic slot poisoned") {
+        resume_unwind(payload);
     }
-    let work = &work;
-    scoped_map(chunks, |chunk| {
-        chunk.into_iter().map(work).collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    outputs
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every claimed item filled its slot")
+        })
+        .collect()
 }
 
 /// Splits `0..n` into at most `threads` contiguous chunks and runs `work`
@@ -425,6 +458,68 @@ mod tests {
         let a = par_map((0..100).collect::<Vec<i32>>(), 1, |x| x * 2);
         let b = par_map((0..100).collect::<Vec<i32>>(), 4, |x| x * 2);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn par_map_never_runs_more_than_threads_items_at_once() {
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        for threads in [2, 3] {
+            peak.store(0, Ordering::SeqCst);
+            let out = par_map((0..24).collect::<Vec<u64>>(), threads, |x| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                x + 1
+            });
+            assert_eq!(out, (1..25).collect::<Vec<u64>>());
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&peak),
+                "{peak} items in flight with threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_under_skewed_costs() {
+        // The first items are by far the slowest: a task that claims one
+        // of them finishes long after the others drained the rest.
+        let items: Vec<u64> = (0..40).collect();
+        let out = par_map(items, 3, |x| {
+            if x < 4 {
+                std::thread::sleep(std::time::Duration::from_millis(15));
+            }
+            x * x
+        });
+        assert_eq!(out, (0..40).map(|x| x * x).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn nested_par_map_completes() {
+        let out = par_map((0..6).collect::<Vec<usize>>(), 2, |i| {
+            par_map((0..10).collect::<Vec<usize>>(), 2, |j| i * 10 + j)
+                .into_iter()
+                .sum::<usize>()
+        });
+        let expected: Vec<usize> = (0..6).map(|i| (0..10).map(|j| i * 10 + j).sum()).collect();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn par_map_panic_propagates_after_every_item_finished() {
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            par_map((0..20).collect::<Vec<usize>>(), 2, |i| {
+                assert!(i != 3, "boom");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+        }));
+        assert!(result.is_err(), "the item panic was swallowed");
+        assert_eq!(finished.load(Ordering::SeqCst), 19);
     }
 
     #[test]

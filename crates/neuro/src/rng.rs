@@ -1,5 +1,7 @@
 //! Deterministic random-number generation for simulation and training.
 
+use std::collections::HashMap;
+
 /// The xoshiro256++ core behind [`SimRng`].
 ///
 /// The workspace has no registry access, so instead of depending on the
@@ -163,21 +165,31 @@ impl SimRng {
 
     /// Samples `k` distinct indices from `[0, n)` (k ≤ n), in random order.
     ///
-    /// Uses a partial Fisher–Yates, so it is O(n) memory but O(k) swaps —
-    /// fine for the attack-site sampling this crate family performs.
+    /// A partial Fisher–Yates over a virtual pool `0..n`: only the
+    /// positions a swap has displaced are stored, so it costs O(k) time
+    /// and memory however large `n` is, and draws and returns exactly what
+    /// the dense shuffle of a materialized pool would.
     ///
     /// # Panics
     ///
     /// Panics when `k > n`.
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} distinct values from {n}");
-        let mut pool: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.inner.bounded((n - i) as u64) as usize;
-            pool.swap(i, j);
-        }
-        pool.truncate(k);
-        pool
+        // `displaced[p]` is the value now at pool position `p` when it is
+        // no longer `p` itself. Position `i` is never read after step `i`.
+        let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(k);
+        (0..k)
+            .map(|i| {
+                let j = i + self.inner.bounded((n - i) as u64) as usize;
+                // Swap positions `i` and `j`; the value moved to `i` is drawn.
+                let at_i = displaced.remove(&i).unwrap_or(i);
+                if j == i {
+                    at_i
+                } else {
+                    displaced.insert(j, at_i).unwrap_or(j)
+                }
+            })
+            .collect()
     }
 }
 
@@ -241,6 +253,37 @@ mod tests {
         let mut picks = rng.sample_distinct(16, 16);
         picks.sort_unstable();
         assert_eq!(picks, (0..16).collect::<Vec<_>>());
+    }
+
+    /// The dense partial Fisher–Yates over a materialized `0..n` pool that
+    /// [`SimRng::sample_distinct`] must reproduce draw for draw.
+    fn sample_distinct_dense(rng: &mut SimRng, n: usize, k: usize) -> Vec<usize> {
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.inner.bounded((n - i) as u64) as usize;
+            pool.swap(i, j);
+        }
+        pool.truncate(k);
+        pool
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sparse_sample_distinct_matches_the_dense_pool(
+            n in 0usize..400,
+            k_frac in 0.0f64..=1.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let k = ((n as f64 * k_frac) as usize).min(n);
+            let mut sparse = SimRng::seed_from(seed);
+            let mut dense = SimRng::seed_from(seed);
+            proptest::prop_assert_eq!(
+                sparse.sample_distinct(n, k),
+                sample_distinct_dense(&mut dense, n, k)
+            );
+            // Both consumed the same draws.
+            proptest::prop_assert_eq!(sparse.uniform(), dense.uniform());
+        }
     }
 
     #[test]

@@ -387,7 +387,10 @@ pub fn corrupt_network_with(
         let shape = *config.block(kind);
         let cols = shape.bank_cols as i64;
         // Affected rings: every faulty ring plus same-row neighbours within
-        // the crosstalk window.
+        // the crosstalk window, skipping rings that carry no parameter (a
+        // ring whose physical slot lies past the used range has nothing
+        // for `params_on_mr` to return).
+        let used = mapping.used_slots(kind);
         let mut affected: Vec<u64> = Vec::new();
         for (mr, _) in conditions.iter(kind) {
             if mr >= shape.total_mrs() {
@@ -399,8 +402,9 @@ pub fn corrupt_network_with(
             let col = (mr as i64) % cols;
             for d in -(CROSSTALK_WINDOW as i64)..=(CROSSTALK_WINDOW as i64) {
                 let nc = col + d;
-                if nc >= 0 && nc < cols {
-                    affected.push((mr as i64 + d) as u64);
+                let ring = (mr as i64 + d) as u64;
+                if nc >= 0 && nc < cols && mapping.physical_ring(kind, ring) < used {
+                    affected.push(ring);
                 }
             }
         }

@@ -42,8 +42,6 @@ pub use laser::{degradation_factor, inject_laser_degradation, LaserDegradationIn
 pub use select::{select_banks, select_rings, RingSalience};
 pub use trim::{inject_trim_drift, TrimDriftInjector};
 
-use std::collections::BTreeSet;
-
 use safelight_neuro::SimRng;
 use safelight_onn::{AcceleratorConfig, BlockKind, ConditionMap};
 
@@ -133,33 +131,40 @@ impl std::fmt::Display for VectorSpec {
 impl std::str::FromStr for VectorSpec {
     type Err = SafelightError;
 
+    /// Parses a vector label. A `laser:`/`trim:` parameter must be a
+    /// finite number above zero; the parameterless vectors take none.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (head, param) = match s.split_once(':') {
             Some((head, param)) => (head, Some(param)),
             None => (s, None),
         };
-        let parse_param = |name: &str| -> Result<f64, SafelightError> {
-            param
-                .ok_or_else(|| SafelightError::Parse(format!("`{s}`: missing {name} parameter")))?
+        let positive = |name: &str, param: &str| -> Result<f64, SafelightError> {
+            let value = param
                 .parse::<f64>()
-                .map_err(|e| SafelightError::Parse(format!("`{s}`: {e}")))
+                .map_err(|e| SafelightError::Parse(format!("`{s}`: {name}: {e}")))?;
+            if value.is_finite() && value > 0.0 {
+                Ok(value)
+            } else {
+                Err(SafelightError::Parse(format!(
+                    "`{s}`: {name} must be finite and > 0"
+                )))
+            }
         };
-        match head {
-            "actuation" => Ok(Self::Actuation),
-            "hotspot" => Ok(Self::Hotspot),
-            "laser" => Ok(match param {
-                None => Self::laser_default(),
-                Some(_) => Self::LaserDegradation {
-                    loss_db: parse_param("loss_db")?,
-                },
+        match (head, param) {
+            ("actuation", None) => Ok(Self::Actuation),
+            ("hotspot", None) => Ok(Self::Hotspot),
+            ("laser", None) => Ok(Self::laser_default()),
+            ("laser", Some(p)) => Ok(Self::LaserDegradation {
+                loss_db: positive("loss_db", p)?,
             }),
-            "trim" => Ok(match param {
-                None => Self::trim_default(),
-                Some(_) => Self::TrimDrift {
-                    detune_rel: parse_param("detune_rel")?,
-                },
+            ("trim", None) => Ok(Self::trim_default()),
+            ("trim", Some(p)) => Ok(Self::TrimDrift {
+                detune_rel: positive("detune_rel", p)?,
             }),
-            other => Err(SafelightError::Parse(format!(
+            ("actuation" | "hotspot", Some(_)) => Err(SafelightError::Parse(format!(
+                "`{s}`: `{head}` takes no parameter"
+            ))),
+            (other, _) => Err(SafelightError::Parse(format!(
                 "unknown attack vector `{other}`"
             ))),
         }
@@ -449,13 +454,19 @@ impl std::str::FromStr for ScenarioSpec {
             .split('+')
             .map(str::parse)
             .collect::<Result<Vec<VectorSpec>, _>>()?;
+        let fraction = fraction
+            .parse::<f64>()
+            .map_err(|e| SafelightError::Parse(format!("`{s}`: fraction: {e}")))?;
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(SafelightError::Parse(format!(
+                "`{s}`: fraction must lie in (0, 1]"
+            )));
+        }
         Ok(Self {
             vectors,
             selection: selection.parse()?,
             target: target.parse()?,
-            fraction: fraction
-                .parse::<f64>()
-                .map_err(|e| SafelightError::Parse(format!("`{s}`: fraction: {e}")))?,
+            fraction,
             trial: trial
                 .parse::<u64>()
                 .map_err(|e| SafelightError::Parse(format!("`{s}`: trial: {e}")))?,
@@ -658,8 +669,9 @@ pub fn inject_full(
         });
     }
     let mut conditions = ConditionMap::new();
-    // Keyed by (is-FC, ring) — `BlockKind` itself is not `Ord`.
-    let mut controlled: BTreeSet<(bool, u64)> = BTreeSet::new();
+    // Keyed by (is-FC, ring) — `BlockKind` itself is not `Ord`; sorted
+    // and deduplicated once all vectors have drawn.
+    let mut controlled: Vec<(bool, u64)> = Vec::new();
     for (index, vector) in spec.vectors.iter().enumerate() {
         let mut rng = SimRng::seed_from(seed).derive(spec.stream_key(index));
         let injector = vector.injector();
@@ -698,6 +710,8 @@ pub fn inject_full(
             injector.apply(config, kind, &sites, &mut conditions)?;
         }
     }
+    controlled.sort_unstable();
+    controlled.dedup();
     let targeted_rings: u64 = spec
         .target
         .blocks()
@@ -885,8 +899,23 @@ mod tests {
             "actuation/uniform/gpu/0.05/0",
             "actuation/uniform/conv/lots/0",
             "laser:x/uniform/conv/0.05/0",
+            "actuation:3/uniform/conv/0.05/0",
         ] {
             assert!(bad.parse::<ScenarioSpec>().is_err(), "`{bad}` parsed");
+        }
+        // Values that parse as numbers but would only fail at injection
+        // (or break the round trip) are rejected up front, naming the field.
+        for (bad, field) in [
+            ("laser:nan/uniform/both/0.05/0", "loss_db"),
+            ("laser:inf/uniform/both/0.05/0", "loss_db"),
+            ("laser:0/uniform/both/0.05/0", "loss_db"),
+            ("trim:-0.4/uniform/both/0.05/0", "detune_rel"),
+            ("actuation/uniform/both/0/0", "fraction"),
+            ("actuation/uniform/both/1.5/0", "fraction"),
+            ("actuation/uniform/both/NaN/0", "fraction"),
+        ] {
+            let err = bad.parse::<ScenarioSpec>().expect_err(bad).to_string();
+            assert!(err.contains(field), "`{bad}`: {err}");
         }
     }
 

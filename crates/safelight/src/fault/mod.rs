@@ -129,6 +129,9 @@ impl std::fmt::Display for FaultVector {
 impl std::str::FromStr for FaultVector {
     type Err = SafelightError;
 
+    /// Parses a fault-vector label. Drift parameters must be finite (the
+    /// noise σ also ≥ 0); a glitch needs a depth in `(0, 1]` and a
+    /// duration of at least one batch.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split(':').collect();
         let channel = |token: &str| {
@@ -138,10 +141,19 @@ impl std::str::FromStr for FaultVector {
                 ))
             })
         };
-        let num = |token: &str| {
-            token
+        // A number of field `name` that must satisfy `valid` (described
+        // by `expect` in the error).
+        let num = |name: &str, token: &str, valid: fn(f64) -> bool, expect: &str| {
+            let value = token
                 .parse::<f64>()
-                .map_err(|e| SafelightError::Parse(format!("`{token}`: {e}")))
+                .map_err(|e| SafelightError::Parse(format!("`{s}`: {name}: {e}")))?;
+            if valid(value) {
+                Ok(value)
+            } else {
+                Err(SafelightError::Parse(format!(
+                    "`{s}`: {name} must be {expect}"
+                )))
+            }
         };
         match parts.as_slice() {
             ["dead", ch] => Ok(Self::DeadSensor {
@@ -152,14 +164,23 @@ impl std::str::FromStr for FaultVector {
             }),
             ["drift", ch, per_batch, noise] => Ok(Self::DriftSensor {
                 channel: channel(ch)?,
-                per_batch: num(per_batch)?,
-                noise: num(noise)?,
+                per_batch: num("per_batch", per_batch, f64::is_finite, "finite")?,
+                noise: num(
+                    "noise",
+                    noise,
+                    |v| v.is_finite() && v >= 0.0,
+                    "finite and >= 0",
+                )?,
             }),
             ["glitch", depth, duration] => Ok(Self::RailGlitch {
-                depth: num(depth)?,
+                depth: num("depth", depth, |v| v > 0.0 && v <= 1.0, "in (0, 1]")?,
                 duration: duration
                     .parse::<u64>()
-                    .map_err(|e| SafelightError::Parse(format!("`{duration}`: {e}")))?,
+                    .ok()
+                    .filter(|&d| d >= 1)
+                    .ok_or_else(|| {
+                        SafelightError::Parse(format!("`{s}`: duration must be an integer >= 1"))
+                    })?,
             }),
             ["crash"] => Ok(Self::Crash),
             _ => Err(SafelightError::Parse(format!(
@@ -267,12 +288,25 @@ impl std::str::FromStr for FaultSpec {
                 "`{s}`: expected vector/target/fraction/onset/trial"
             )));
         };
+        let vector: FaultVector = vector.parse()?;
+        let fraction = fraction
+            .parse::<f64>()
+            .map_err(|e| SafelightError::Parse(format!("fraction `{fraction}`: {e}")))?;
+        // A crash selects no sensors, so its fraction only has to be a
+        // fraction (the grid writes 0); every sensor fault breaks some.
+        let in_range = match vector {
+            FaultVector::Crash => (0.0..=1.0).contains(&fraction),
+            _ => fraction > 0.0 && fraction <= 1.0,
+        };
+        if !in_range {
+            return Err(SafelightError::Parse(format!(
+                "`{s}`: fraction must lie in (0, 1] ([0, 1] for a crash)"
+            )));
+        }
         Ok(Self {
-            vector: vector.parse()?,
+            vector,
             target: target.parse()?,
-            fraction: fraction
-                .parse::<f64>()
-                .map_err(|e| SafelightError::Parse(format!("fraction `{fraction}`: {e}")))?,
+            fraction,
             onset_batch: onset
                 .parse::<u64>()
                 .map_err(|e| SafelightError::Parse(format!("onset `{onset}`: {e}")))?,
@@ -608,16 +642,46 @@ mod tests {
     #[test]
     fn invalid_fractions_and_glitches_are_rejected() {
         let cfg = config();
-        for s in [
-            "dead:drop/fc/0/8/0",
-            "dead:drop/fc/1.5/8/0",
-            "glitch:0:2/fc/1/8/0",
-            "glitch:0.5:0/fc/1/8/0",
+        // The parser rejects them, naming the field ...
+        for (s, field) in [
+            ("dead:drop/fc/0/8/0", "fraction"),
+            ("dead:drop/fc/1.5/8/0", "fraction"),
+            ("crash/both/NaN/8/0", "fraction"),
+            ("glitch:0:2/fc/1/8/0", "depth"),
+            ("glitch:0.5:0/fc/1/8/0", "duration"),
+            ("drift:temp:inf:0.01/fc/0.5/8/0", "per_batch"),
+            ("drift:temp:0.05:-1/fc/0.5/8/0", "noise"),
         ] {
-            let spec: FaultSpec = s.parse().unwrap();
+            let err = s.parse::<FaultSpec>().expect_err(s).to_string();
+            assert!(err.contains(field), "`{s}`: {err}");
+        }
+        // ... and injection still refuses specs built directly.
+        let dead = FaultVector::DeadSensor {
+            channel: SensorChannel::DropCurrent,
+        };
+        for (vector, fraction) in [
+            (dead, 0.0),
+            (dead, 1.5),
+            (
+                FaultVector::RailGlitch {
+                    depth: 0.0,
+                    duration: 2,
+                },
+                1.0,
+            ),
+            (
+                FaultVector::RailGlitch {
+                    depth: 0.5,
+                    duration: 0,
+                },
+                1.0,
+            ),
+        ] {
+            let spec = FaultSpec::new(vector, AttackTarget::FcBlock, fraction, 8);
             assert!(
                 inject_fault(&spec, &cfg, (2, 0), 1).is_err(),
-                "`{s}` accepted"
+                "`{}` accepted",
+                spec.to_spec_string()
             );
         }
         // Sentinels on a block that has none: no candidates.

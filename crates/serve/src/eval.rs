@@ -40,8 +40,8 @@ use safelight_onn::{
 
 use crate::observe::{ObsArtifacts, ServeObserver};
 use crate::runtime::{
-    fold, Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault, PolicyConfig,
-    StreamOutcome,
+    fold, CleanPredictions, Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault,
+    PolicyConfig, StreamOutcome,
 };
 use crate::scheduler::{ArrivalModel, Request};
 
@@ -669,8 +669,9 @@ where
     // Clean reference: the whole stream on an uncompromised fleet. The
     // score-but-never-respond baseline policy keeps a calibrated-rate
     // false alarm from remapping (or failing over) the reference fleet
-    // mid-measurement.
-    let clean_accuracy = {
+    // mid-measurement, so every member stays pristine and its per-batch
+    // predictions can stand in for any pristine case member's.
+    let (clean_accuracy, reference) = {
         let mut fleet = build_fleet(&parts, opts, false)?;
         let out = fleet.serve_queue(
             &requests,
@@ -681,7 +682,10 @@ where
             fold(seed, 0xC1EA),
             threads,
         )?;
-        out.accuracy_in(0..u64::MAX, &labels)
+        (
+            out.accuracy_in(0..u64::MAX, &labels),
+            Arc::new(CleanPredictions::from_stream(&out)),
+        )
     };
 
     // Fault plans index sentinel readbacks by slot, so injection needs the
@@ -737,6 +741,7 @@ where
             });
             let fault = plan.as_ref().map(|p| MemberFault { member: 0, plan: p });
             let mut fleet = build_fleet(&parts, opts, true)?;
+            fleet.set_reference(Some(reference.clone()));
             let observer = registry.as_ref().map(|reg| {
                 Arc::new(ServeObserver::with_scope_slo(
                     reg.clone(),
@@ -765,6 +770,7 @@ where
                 .map(|o| o.drain(std::slice::from_ref(&case.header)));
             let baseline = if case.baseline {
                 let mut fleet = build_fleet(&parts, opts, false)?;
+                fleet.set_reference(Some(reference.clone()));
                 Some(fleet.serve_queue(
                     &requests,
                     opts.batch_size,

@@ -124,7 +124,7 @@ pub use incident::{
 };
 pub use observe::{ObsArtifacts, ServeObserver};
 pub use runtime::{
-    Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault, MemberState, PolicyConfig,
-    PolicyEvent, ServedBatch, StreamOutcome,
+    CleanPredictions, Compromise, Decision, Disposition, Fleet, FleetMember, MemberFault,
+    MemberState, PolicyConfig, PolicyEvent, ServedBatch, StreamOutcome,
 };
 pub use scheduler::{partition, AdmissionQueue, ArrivalModel, Request, RequestOutcome};

@@ -42,6 +42,7 @@
 //! Every decision derives from detector scores and deterministic seeds,
 //! so a served stream is byte-identical across worker-thread counts.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -410,6 +411,10 @@ pub struct FleetMember {
     overlay: ConditionMap,
     /// The derived effective executor network.
     effective: Network,
+    /// Whether `effective` is still the clean derive the member was built
+    /// with: every re-derivation (compromise, remap, cache recovery) clears
+    /// it, and only a pristine member may take [`CleanPredictions`].
+    pristine: bool,
     probe: TelemetryProbe,
     sentinels: SentinelPlan,
     suite: Vec<Box<dyn Detector>>,
@@ -482,6 +487,7 @@ impl std::fmt::Debug for FleetMember {
             .field("id", &self.id)
             .field("state", &self.state)
             .field("compromised", &self.compromised)
+            .field("pristine", &self.pristine)
             .field("remediated", &self.remediated)
             .field("remediations", &self.remediations)
             .field("frames_emitted", &self.frames_emitted)
@@ -562,6 +568,7 @@ impl FleetMember {
             attack: ConditionMap::new(),
             overlay: ConditionMap::new(),
             effective,
+            pristine: true,
             probe,
             sentinels,
             suite,
@@ -600,6 +607,7 @@ impl FleetMember {
             attack: self.attack.clone(),
             overlay: self.overlay.clone(),
             effective: self.effective.clone(),
+            pristine: self.pristine,
             probe: self.probe.clone(),
             sentinels: self.sentinels.clone(),
             suite: self.suite.clone(),
@@ -723,6 +731,7 @@ impl FleetMember {
         self.effective = self
             .backend
             .derive_network(&self.clean, &self.mapping, &conditions)?;
+        self.pristine = false;
         self.probe = self
             .backend
             .probe(&self.clean, &self.mapping, &conditions, &self.sentinels)
@@ -749,6 +758,10 @@ impl FleetMember {
     /// (when enabled) one telemetry frame scored by the member's detector
     /// suite.
     ///
+    /// A pristine member takes the predictions `reference` holds for the
+    /// exact same request ids instead of running the forward pass: its
+    /// effective network is bit-identical to the one that served them.
+    ///
     /// # Errors
     ///
     /// Propagates forward-pass errors.
@@ -759,11 +772,18 @@ impl FleetMember {
         batch: u64,
         stream_seed: u64,
         policy: &PolicyConfig,
+        reference: Option<&CleanPredictions>,
     ) -> Result<ServedBatch, SafelightError> {
-        let inputs: Vec<&Tensor> = ids.iter().map(|&i| &requests[i].input).collect();
-        let predictions = {
-            let _span = profile_span("serve_predict");
-            self.backend.predict_batch(&mut self.effective, &inputs)?
+        let known = reference
+            .filter(|_| self.pristine)
+            .and_then(|r| r.lookup(requests, ids));
+        let predictions = match known {
+            Some(known) => known.to_vec(),
+            None => {
+                let inputs: Vec<&Tensor> = ids.iter().map(|&i| &requests[i].input).collect();
+                let _span = profile_span("serve_predict");
+                self.backend.predict_batch(&mut self.effective, &inputs)?
+            }
         };
         let degraded = self.is_degraded();
         let (scores, alarmed, frame, masked) = if policy.inline_detection {
@@ -1239,6 +1259,46 @@ impl StreamOutcome {
     }
 }
 
+/// The per-batch predictions of a clean reference stream, keyed by each
+/// batch's exact request-id list (in dealt order).
+///
+/// Every backend's forward pass is a pure function of the effective
+/// network's bits and the batch, so a pristine member (see
+/// [`Fleet::set_reference`]) dealt the same ids would compute exactly
+/// these predictions.
+#[derive(Debug, Clone, Default)]
+pub struct CleanPredictions {
+    by_ids: HashMap<Vec<u64>, Vec<usize>>,
+}
+
+impl CleanPredictions {
+    /// Collects the predictions of every batch `stream` served. Every
+    /// batch must have come from a pristine member: a fleet cloned from
+    /// the prototype the consuming fleets clone, with no compromise, fault
+    /// or response applied.
+    #[must_use]
+    pub fn from_stream(stream: &StreamOutcome) -> Self {
+        let by_ids = stream
+            .outcomes
+            .chunk_by(|a, b| a.batch == b.batch)
+            .map(|batch| {
+                (
+                    batch.iter().map(|o| o.id).collect(),
+                    batch.iter().map(|o| o.prediction).collect(),
+                )
+            })
+            .collect();
+        Self { by_ids }
+    }
+
+    /// The stored predictions of the batch holding the requests at stream
+    /// positions `ids`, if the reference served exactly that batch.
+    fn lookup(&self, requests: &[Request], ids: &[usize]) -> Option<&[usize]> {
+        let key: Vec<u64> = ids.iter().map(|&i| requests[i].id).collect();
+        self.by_ids.get(&key).map(Vec::as_slice)
+    }
+}
+
 /// A fleet of simulated accelerators serving one model behind the
 /// micro-batching scheduler.
 pub struct Fleet {
@@ -1247,6 +1307,8 @@ pub struct Fleet {
     /// Optional observability sink: when attached, the tick loop and the
     /// response policy emit structured trace events and metrics to it.
     observer: Option<Arc<ServeObserver>>,
+    /// Optional clean reference predictions pristine members reuse.
+    reference: Option<Arc<CleanPredictions>>,
     /// Policy decisions of the stream in flight, in decision order.
     events: Vec<PolicyEvent>,
 }
@@ -1291,6 +1353,7 @@ impl Fleet {
             members,
             policy,
             observer: None,
+            reference: None,
             events: Vec::new(),
         })
     }
@@ -1300,6 +1363,17 @@ impl Fleet {
     /// tracer accumulates events until [`ServeObserver::drain`].
     pub fn set_observer(&mut self, observer: Option<Arc<ServeObserver>>) {
         self.observer = observer;
+    }
+
+    /// Attaches (or detaches, with `None`) the predictions of a clean
+    /// reference stream over the same requests. A member that is still
+    /// pristine — a clone of the prototype that served the reference,
+    /// not re-derived since — takes the stored predictions of a batch with
+    /// the exact same request ids instead of running its forward pass.
+    /// Telemetry, scoring and the response policy run as before, so the
+    /// served stream is identical with or without the table.
+    pub fn set_reference(&mut self, reference: Option<Arc<CleanPredictions>>) {
+        self.reference = reference;
     }
 
     /// The attached observability sink, if any.
@@ -1410,6 +1484,7 @@ impl Fleet {
         // member borrows the tick loop takes.
         let policy = self.policy.clone();
         let obs = self.observer.clone();
+        let reference = self.reference.clone();
         let mut prev_shed = 0usize;
         loop {
             // Admission: offer everything that has arrived by this tick,
@@ -1507,7 +1582,14 @@ impl Fleet {
                     // rides the trace's uncommitted profile section, so
                     // the committed artifact stays machine-independent.
                     let start = obs.is_some().then(Instant::now);
-                    let batch = member.serve_batch(requests, &ids, bi, seed, &policy)?;
+                    let batch = member.serve_batch(
+                        requests,
+                        &ids,
+                        bi,
+                        seed,
+                        &policy,
+                        reference.as_deref(),
+                    )?;
                     if let Some(o) = &obs {
                         let wall = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
                         o.batch_served(tick, &batch, ids.len(), wall);
@@ -2096,6 +2178,119 @@ mod tests {
                 .any(|o| o.member == 0 && o.batch > recover.batch),
             "member 0 never served after recovery"
         );
+    }
+
+    /// Serves `reqs` (8 per batch) on two fresh responding 2-member
+    /// fleets, one of them holding the clean reference predictions of the
+    /// same stream, and asserts the two streams are identical. Returns the
+    /// stream and the clean reference stream.
+    fn assert_reuse_is_exact(
+        reqs: &[Request],
+        capacity: usize,
+        compromise: Option<Compromise<'_>>,
+        fault: Option<MemberFault<'_>>,
+    ) -> (StreamOutcome, StreamOutcome) {
+        let (mut clean, _) = make_fleet(2, false);
+        let reference = clean
+            .serve_queue(reqs, 8, capacity, None, None, 3, 2)
+            .unwrap();
+        let table = Arc::new(CleanPredictions::from_stream(&reference));
+        let run = |table: Option<Arc<CleanPredictions>>| {
+            let (mut fleet, _) = make_fleet(2, true);
+            fleet.set_reference(table);
+            fleet
+                .serve_queue(reqs, 8, capacity, compromise.clone(), fault.clone(), 7, 2)
+                .unwrap()
+        };
+        let computed = run(None);
+        let reused = run(Some(table));
+        assert_eq!(computed.outcomes, reused.outcomes);
+        assert_eq!(computed.events, reused.events);
+        assert_eq!(
+            (computed.unserved, computed.shed, computed.ticks),
+            (reused.unserved, reused.shed, reused.ticks)
+        );
+        (reused, reference)
+    }
+
+    /// The request ids of every batch `stream` served, in batch order.
+    fn batch_ids(stream: &StreamOutcome) -> Vec<Vec<u64>> {
+        stream
+            .outcomes
+            .chunk_by(|a, b| a.batch == b.batch)
+            .map(|batch| batch.iter().map(|o| o.id).collect())
+            .collect()
+    }
+
+    #[test]
+    fn clean_reference_reuse_is_exact_across_a_mid_stream_rederive() {
+        let attack = bank0_attack();
+        let reqs = requests(96);
+        let (out, reference) = assert_reuse_is_exact(
+            &reqs,
+            usize::MAX,
+            Some(Compromise {
+                member: 0,
+                onset_batch: 4,
+                conditions: &attack,
+            }),
+            None,
+        );
+        // The closed loop deals the reference's batches, and the trojan
+        // changes member 0's answers on some of them: a member that kept
+        // reusing after its re-derive would answer like the clean fleet.
+        assert_eq!(batch_ids(&out), batch_ids(&reference));
+        let clean: HashMap<u64, usize> = reference
+            .outcomes
+            .iter()
+            .map(|o| (o.id, o.prediction))
+            .collect();
+        assert!(out
+            .outcomes
+            .iter()
+            .any(|o| o.member == 0 && o.prediction != clean[&o.id]));
+        assert!(out.events.iter().any(|e| remap_of(e).is_some()));
+    }
+
+    #[test]
+    fn clean_reference_reuse_is_exact_through_crash_and_recovery() {
+        use crate::scheduler::ArrivalModel;
+        let schedule = ArrivalModel::Bursty {
+            rate: 14.0,
+            burst: 12,
+        }
+        .schedule(240, 11);
+        let mut reqs = requests(240);
+        for (r, t) in reqs.iter_mut().zip(&schedule) {
+            r.arrived_at = *t;
+        }
+        let plan = FaultPlan {
+            onset_batch: 4,
+            sensors: Vec::new(),
+            crash: true,
+        };
+        let (out, reference) = assert_reuse_is_exact(
+            &reqs,
+            10,
+            None,
+            Some(MemberFault {
+                member: 0,
+                plan: &plan,
+            }),
+        );
+        assert!(out
+            .events
+            .iter()
+            .any(|e| matches!(e.decision, Decision::Recover { .. })));
+        // The crash halves the fleet's capacity, so the bounded queue sheds
+        // other requests than in the reference: some batches match a
+        // reference batch exactly, others only share its first request.
+        let served = batch_ids(&out);
+        let known = batch_ids(&reference);
+        assert!(served.iter().any(|b| known.contains(b)));
+        assert!(served
+            .iter()
+            .any(|b| known.iter().any(|k| k[0] == b[0] && k != b)));
     }
 
     proptest::proptest! {
