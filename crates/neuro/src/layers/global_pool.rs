@@ -39,7 +39,7 @@ impl Layer for GlobalAvgPool2d {
         "global_avg_pool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NeuroError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
         let shape = input.shape();
         if shape.len() != 4 {
             return Err(NeuroError::ShapeMismatch {
@@ -55,7 +55,7 @@ impl Layer for GlobalAvgPool2d {
         for (nc, o) in out.iter_mut().enumerate() {
             *o = x[nc * plane..(nc + 1) * plane].iter().sum::<f32>() / plane as f32;
         }
-        self.input_shape = Some(shape.to_vec());
+        self.input_shape = train.then(|| shape.to_vec());
         Tensor::from_vec(vec![n, c], out)
     }
 
@@ -117,5 +117,23 @@ mod tests {
     fn non_4d_input_is_rejected() {
         let mut pool = GlobalAvgPool2d::new();
         assert!(pool.forward(&Tensor::zeros(vec![2, 3]), false).is_err());
+    }
+
+    #[test]
+    fn backward_after_inference_forward_errors() {
+        // An inference forward caches nothing and drops what a training
+        // forward left, so backward reports that no forward preceded it.
+        let mut layer = GlobalAvgPool2d::new();
+        let x = Tensor::zeros(vec![2, 3, 2, 2]);
+        let y = layer.forward(&x, true).unwrap();
+        layer.forward(&x, false).unwrap();
+        let err = layer
+            .backward(&Tensor::zeros(y.shape().to_vec()))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("GlobalAvgPool2d::backward before forward"),
+            "{err}"
+        );
     }
 }

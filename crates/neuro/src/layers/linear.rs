@@ -121,45 +121,10 @@ impl Linear {
             })
         })
     }
-}
 
-impl Layer for Linear {
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
-        let n = self.check_input(input)?;
-        if !train {
-            if let Some(spec) = self.int_mode {
-                if spec.is_valid() && spec.accumulator_safe(self.in_features) {
-                    let out = self.forward_int(input, spec, n);
-                    self.cached_input = Some(input.clone());
-                    return Tensor::from_vec(vec![n, self.out_features], out);
-                }
-            }
-        }
-        let mut out = vec![0.0f32; n * self.out_features];
-        // y = x · Wᵀ  (W stored [out, in])
-        matmul_a_bt(
-            input.as_slice(),
-            self.weight.value.as_slice(),
-            &mut out,
-            n,
-            self.in_features,
-            self.out_features,
-        );
-        let bias = self.bias.value.as_slice();
-        for row in out.chunks_mut(self.out_features) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(vec![n, self.out_features], out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError> {
+    /// Consumes the cached training input and accumulates `dW` and `db`
+    /// for `grad_output`, returning the batch size.
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<usize, NeuroError> {
         let input = self.cached_input.take().ok_or(NeuroError::ShapeMismatch {
             context: "Linear::backward before forward",
             expected: vec![],
@@ -189,6 +154,47 @@ impl Layer for Linear {
                 *g += v;
             }
         }
+        Ok(n)
+    }
+}
+
+impl Layer for Linear {
+    fn name(&self) -> &'static str {
+        "linear"
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
+        let n = self.check_input(input)?;
+        self.cached_input = train.then(|| input.clone());
+        if !train {
+            if let Some(spec) = self.int_mode {
+                if spec.is_valid() && spec.accumulator_safe(self.in_features) {
+                    let out = self.forward_int(input, spec, n);
+                    return Tensor::from_vec(vec![n, self.out_features], out);
+                }
+            }
+        }
+        let mut out = vec![0.0f32; n * self.out_features];
+        // y = x · Wᵀ  (W stored [out, in])
+        matmul_a_bt(
+            input.as_slice(),
+            self.weight.value.as_slice(),
+            &mut out,
+            n,
+            self.in_features,
+            self.out_features,
+        );
+        let bias = self.bias.value.as_slice();
+        for row in out.chunks_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        Tensor::from_vec(vec![n, self.out_features], out)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError> {
+        let n = self.accumulate_param_grads(grad_output)?;
         // dX = dY · W
         let mut grad_input = vec![0.0f32; n * self.in_features];
         matmul(
@@ -200,6 +206,10 @@ impl Layer for Linear {
             self.in_features,
         );
         Tensor::from_vec(vec![n, self.in_features], grad_input)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NeuroError> {
+        self.accumulate_param_grads(grad_output).map(drop)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -305,5 +315,22 @@ mod tests {
     fn wrong_width_is_rejected() {
         let mut fc = Linear::new(3, 2, 1).unwrap();
         assert!(fc.forward(&Tensor::zeros(vec![1, 4]), false).is_err());
+    }
+
+    #[test]
+    fn backward_after_inference_forward_errors() {
+        // An inference forward caches nothing and drops what a training
+        // forward left, so backward reports that no forward preceded it.
+        let mut layer = Linear::new(4, 3, 1).unwrap();
+        let x = Tensor::zeros(vec![2, 4]);
+        let y = layer.forward(&x, true).unwrap();
+        layer.forward(&x, false).unwrap();
+        let err = layer
+            .backward(&Tensor::zeros(y.shape().to_vec()))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("Linear::backward before forward"),
+            "{err}"
+        );
     }
 }

@@ -7,7 +7,7 @@ mod norm;
 mod pool;
 mod residual;
 
-pub use conv::Conv2d;
+pub use conv::{Conv2d, PatchGeometry};
 pub use global_pool::GlobalAvgPool2d;
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
@@ -89,28 +89,58 @@ impl Param {
 ///
 /// The contract mirrors classic define-by-layer frameworks:
 ///
-/// 1. [`forward`](Self::forward) consumes a batch and caches whatever the
-///    backward pass will need;
-/// 2. [`backward`](Self::backward) consumes `∂L/∂output`, **accumulates**
-///    parameter gradients into [`Param::grad`], and returns `∂L/∂input`;
+/// 1. [`forward`](Self::forward) consumes a batch. With `train == true` it
+///    caches whatever the backward pass will need; with `train == false`
+///    it caches nothing and drops whatever an earlier training forward
+///    left, so an inference pass carries no training state along;
+/// 2. [`backward`](Self::backward) consumes `∂L/∂output` and the cache of
+///    the latest training forward, **accumulates** parameter gradients
+///    into [`Param::grad`], and returns `∂L/∂input`;
+///    [`backward_params`](Self::backward_params) does the same without
+///    computing `∂L/∂input`;
 /// 3. [`params_mut`](Self::params_mut) exposes the trainable state.
 ///
 /// # Errors
 ///
 /// `forward` and `backward` report [`NeuroError::ShapeMismatch`] when the
 /// supplied tensors do not match the layer's expectations; `backward` also
-/// errors when called before any `forward`.
+/// errors when no training forward precedes it (none ran, an inference
+/// forward ran since, or a backward already consumed the cache).
 pub trait Layer: Send + Sync {
     /// A short human-readable layer name (e.g. `"conv2d"`).
     fn name(&self) -> &'static str;
 
     /// Runs the layer on a batch. `train` selects training behaviour
-    /// (batch statistics in batch norm; inference uses running statistics).
+    /// (batch statistics in batch norm; inference uses running statistics)
+    /// and whether the pass caches state for [`backward`](Self::backward).
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError>;
 
     /// Back-propagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient with respect to the layer input.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError>;
+
+    /// [`forward`](Self::forward) on a batch the caller gives up. A layer
+    /// that can build its output in the input's own buffer (an
+    /// activation, a reshape) overrides this to skip the copy; the result
+    /// is the same.
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Result<Tensor, NeuroError> {
+        self.forward(&input, train)
+    }
+
+    /// [`backward`](Self::backward) on a gradient the caller gives up, as
+    /// [`forward_owned`](Self::forward_owned) is to `forward`.
+    fn backward_owned(&mut self, grad_output: Tensor) -> Result<Tensor, NeuroError> {
+        self.backward(&grad_output)
+    }
+
+    /// Back-propagates `grad_output` into the parameter gradients only —
+    /// the same [`Param::grad`] values as [`backward`](Self::backward) —
+    /// for a layer whose input gradient nobody reads (a network's first
+    /// layer). The default runs `backward` and drops the input gradient;
+    /// layers override it to skip that work.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NeuroError> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Mutable access to the layer's trainable parameters (possibly empty).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -170,14 +200,20 @@ impl Clone for Box<dyn Layer> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// Which inputs of the latest training forward were positive. The
+    /// allocation is reused from step to step; an inference forward frees
+    /// it.
+    mask: Vec<bool>,
+    /// Whether `mask` belongs to a training forward that no backward has
+    /// consumed yet.
+    masked: bool,
 }
 
 impl Relu {
     /// Creates a ReLU activation.
     #[must_use]
     pub fn new() -> Self {
-        Self { mask: None }
+        Self::default()
     }
 }
 
@@ -186,33 +222,44 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NeuroError> {
-        let mut out = input.clone();
-        let mask: Vec<bool> = input.as_slice().iter().map(|&x| x > 0.0).collect();
-        for (v, &m) in out.as_mut_slice().iter_mut().zip(&mask) {
-            if !m {
-                *v = 0.0;
-            }
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
+        self.forward_owned(input.clone(), train)
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor, train: bool) -> Result<Tensor, NeuroError> {
+        if train {
+            self.mask.clear();
+            self.mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
+        } else {
+            self.mask = Vec::new();
         }
-        self.mask = Some(mask);
-        Ok(out)
+        self.masked = train;
+        for v in input.as_mut_slice() {
+            *v = if *v > 0.0 { *v } else { 0.0 };
+        }
+        Ok(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError> {
-        let mask = self.mask.as_ref().ok_or(NeuroError::ShapeMismatch {
-            context: "Relu::backward before forward",
-            expected: vec![],
-            actual: vec![],
-        })?;
-        if mask.len() != grad_output.len() {
+        self.backward_owned(grad_output.clone())
+    }
+
+    fn backward_owned(&mut self, mut grad: Tensor) -> Result<Tensor, NeuroError> {
+        if !std::mem::take(&mut self.masked) {
             return Err(NeuroError::ShapeMismatch {
-                context: "Relu::backward",
-                expected: vec![mask.len()],
-                actual: grad_output.shape().to_vec(),
+                context: "Relu::backward before forward",
+                expected: vec![],
+                actual: vec![],
             });
         }
-        let mut grad = grad_output.clone();
-        for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
+        if self.mask.len() != grad.len() {
+            return Err(NeuroError::ShapeMismatch {
+                context: "Relu::backward",
+                expected: vec![self.mask.len()],
+                actual: grad.shape().to_vec(),
+            });
+        }
+        for (g, &m) in grad.as_mut_slice().iter_mut().zip(&self.mask) {
             if !m {
                 *g = 0.0;
             }
@@ -258,7 +305,11 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NeuroError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
+        self.forward_owned(input.clone(), train)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Result<Tensor, NeuroError> {
         let shape = input.shape().to_vec();
         if shape.is_empty() {
             return Err(NeuroError::ShapeMismatch {
@@ -269,17 +320,21 @@ impl Layer for Flatten {
         }
         let n = shape[0];
         let rest: usize = shape[1..].iter().product();
-        self.input_shape = Some(shape);
-        input.clone().reshape(vec![n, rest])
+        self.input_shape = train.then_some(shape);
+        input.reshape(vec![n, rest])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError> {
-        let shape = self.input_shape.clone().ok_or(NeuroError::ShapeMismatch {
+        self.backward_owned(grad_output.clone())
+    }
+
+    fn backward_owned(&mut self, grad_output: Tensor) -> Result<Tensor, NeuroError> {
+        let shape = self.input_shape.take().ok_or(NeuroError::ShapeMismatch {
             context: "Flatten::backward before forward",
             expected: vec![],
             actual: vec![],
         })?;
-        grad_output.clone().reshape(shape)
+        grad_output.reshape(shape)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -334,5 +389,31 @@ mod tests {
         let mut copy = boxed.clone();
         // The clone carries the cached mask and can run backward directly.
         assert!(copy.backward(&Tensor::zeros(vec![1])).is_ok());
+    }
+
+    #[test]
+    fn relu_backward_after_inference_forward_errors() {
+        let mut relu = Relu::new();
+        let x = Tensor::from_vec(vec![2], vec![-1.0, 1.0]).unwrap();
+        relu.forward(&x, true).unwrap();
+        relu.forward(&x, false).unwrap();
+        let err = relu.backward(&x).unwrap_err();
+        assert!(
+            err.to_string().contains("Relu::backward before forward"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn flatten_backward_after_inference_forward_errors() {
+        let mut flat = Flatten::new();
+        let x = Tensor::zeros(vec![2, 3, 5]);
+        let y = flat.forward(&x, true).unwrap();
+        flat.forward(&x, false).unwrap();
+        let err = flat.backward(&y).unwrap_err();
+        assert!(
+            err.to_string().contains("Flatten::backward before forward"),
+            "{err}"
+        );
     }
 }

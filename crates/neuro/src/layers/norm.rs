@@ -145,28 +145,35 @@ impl Layer for BatchNorm2d {
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
 
-        let mut normalized = Tensor::zeros(input.shape().to_vec());
+        // Only a training pass keeps x̂ for backward.
+        let mut normalized = train.then(|| Tensor::zeros(input.shape().to_vec()));
         let mut out = Tensor::zeros(input.shape().to_vec());
-        {
-            let xn = normalized.as_mut_slice();
-            let y = out.as_mut_slice();
-            for s in 0..n {
-                for c in 0..self.channels {
-                    let base = (s * self.channels + c) * plane;
-                    for i in base..base + plane {
-                        let norm = (x[i] - mean[c]) * inv_std[c];
-                        xn[i] = norm;
-                        y[i] = gamma[c] * norm + beta[c];
+        for s in 0..n {
+            for c in 0..self.channels {
+                let cells = (s * self.channels + c) * plane..(s * self.channels + c + 1) * plane;
+                let xs = &x[cells.clone()];
+                let ys = &mut out.as_mut_slice()[cells.clone()];
+                let norm = |v: f32| (v - mean[c]) * inv_std[c];
+                match normalized.as_mut() {
+                    Some(xn) => {
+                        let xn = &mut xn.as_mut_slice()[cells];
+                        for ((y, xn), &v) in ys.iter_mut().zip(xn).zip(xs) {
+                            *xn = norm(v);
+                            *y = gamma[c] * *xn + beta[c];
+                        }
+                    }
+                    None => {
+                        for (y, &v) in ys.iter_mut().zip(xs) {
+                            *y = gamma[c] * norm(v) + beta[c];
+                        }
                     }
                 }
             }
         }
-        if train {
-            self.cache = Some(BnCache {
-                normalized,
-                inv_std,
-            });
-        }
+        self.cache = normalized.map(|normalized| BnCache {
+            normalized,
+            inv_std,
+        });
         Ok(out)
     }
 
@@ -326,5 +333,23 @@ mod tests {
     fn wrong_channel_count_is_rejected() {
         let mut bn = BatchNorm2d::new(3).unwrap();
         assert!(bn.forward(&Tensor::zeros(vec![1, 2, 2, 2]), true).is_err());
+    }
+
+    #[test]
+    fn backward_after_inference_forward_errors() {
+        // An inference forward caches nothing and drops what a training
+        // forward left, so backward reports that no forward preceded it.
+        let mut layer = BatchNorm2d::new(2).unwrap();
+        let x = varied_input();
+        let y = layer.forward(&x, true).unwrap();
+        layer.forward(&x, false).unwrap();
+        let err = layer
+            .backward(&Tensor::zeros(y.shape().to_vec()))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("BatchNorm2d::backward before training forward"),
+            "{err}"
+        );
     }
 }

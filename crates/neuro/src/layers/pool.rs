@@ -20,9 +20,13 @@ use crate::{NeuroError, Tensor};
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     size: usize,
+    /// Input shape of the training forward whose argmax is held;
+    /// `backward` takes it.
     input_shape: Option<Vec<usize>>,
-    /// Flat input index of each output's argmax, for the backward scatter.
-    argmax: Option<Vec<usize>>,
+    /// Flat input index of each output's argmax, for the backward
+    /// scatter. The allocation is reused from step to step; an inference
+    /// forward frees it.
+    argmax: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -41,7 +45,7 @@ impl MaxPool2d {
         Ok(Self {
             size,
             input_shape: None,
-            argmax: None,
+            argmax: Vec::new(),
         })
     }
 
@@ -50,6 +54,42 @@ impl MaxPool2d {
     pub fn size(&self) -> usize {
         self.size
     }
+
+    /// Max-pools each `h × w` plane of `x` into `out` with `size × size`
+    /// windows, calling `record(o, i)` with each output index and the
+    /// flat input index of its maximum. Taps are compared in (ky, kx)
+    /// order with a strict `>`, so the first maximum of a window wins.
+    fn pool_planes(
+        size: usize,
+        x: &[f32],
+        (h, w): (usize, usize),
+        out: &mut [f32],
+        mut record: impl FnMut(usize, usize),
+    ) {
+        let (oh, ow) = (h / size, w / size);
+        for (nc, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+            let plane = &x[nc * h * w..(nc + 1) * h * w];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for ky in 0..size {
+                        for kx in 0..size {
+                            let iy = oy * size + ky;
+                            let ix = ox * size + kx;
+                            let v = plane[iy * w + ix];
+                            if v > best {
+                                best = v;
+                                best_idx = iy * w + ix;
+                            }
+                        }
+                    }
+                    out_plane[oy * ow + ox] = best;
+                    record(nc * oh * ow + oy * ow + ox, nc * h * w + best_idx);
+                }
+            }
+        }
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -57,7 +97,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NeuroError> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
         let shape = input.shape();
         if shape.len() != 4 || shape[2] < self.size || shape[3] < self.size {
             return Err(NeuroError::ShapeMismatch {
@@ -70,33 +110,18 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (h / self.size, w / self.size);
         let x = input.as_slice();
         let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for nc in 0..n * c {
-            let plane = &x[nc * h * w..(nc + 1) * h * w];
-            let out_plane = &mut out[nc * oh * ow..(nc + 1) * oh * ow];
-            let arg_plane = &mut argmax[nc * oh * ow..(nc + 1) * oh * ow];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..self.size {
-                        for kx in 0..self.size {
-                            let iy = oy * self.size + ky;
-                            let ix = ox * self.size + kx;
-                            let v = plane[iy * w + ix];
-                            if v > best {
-                                best = v;
-                                best_idx = nc * h * w + iy * w + ix;
-                            }
-                        }
-                    }
-                    out_plane[oy * ow + ox] = best;
-                    arg_plane[oy * ow + ox] = best_idx;
-                }
-            }
+        // Only a training pass records where each maximum came from.
+        if train {
+            // Every slot is written, so a reused buffer needs no clearing.
+            self.argmax.resize(out.len(), 0);
+            let slots = self.argmax.as_mut_slice();
+            Self::pool_planes(self.size, x, (h, w), &mut out, |o, i| slots[o] = i);
+            self.input_shape = Some(shape.to_vec());
+        } else {
+            Self::pool_planes(self.size, x, (h, w), &mut out, |_, _| {});
+            self.argmax = Vec::new();
+            self.input_shape = None;
         }
-        self.input_shape = Some(shape.to_vec());
-        self.argmax = Some(argmax);
         Tensor::from_vec(vec![n, c, oh, ow], out)
     }
 
@@ -106,7 +131,7 @@ impl Layer for MaxPool2d {
             expected: vec![],
             actual: vec![],
         })?;
-        let argmax = self.argmax.take().expect("argmax cached with shape");
+        let argmax = &self.argmax;
         if grad_output.len() != argmax.len() {
             return Err(NeuroError::ShapeMismatch {
                 context: "MaxPool2d::backward",
@@ -174,5 +199,23 @@ mod tests {
         assert!(pool
             .forward(&Tensor::zeros(vec![1, 1, 2, 2]), false)
             .is_err());
+    }
+
+    #[test]
+    fn backward_after_inference_forward_errors() {
+        // An inference forward caches nothing and drops what a training
+        // forward left, so backward reports that no forward preceded it.
+        let mut layer = MaxPool2d::new(2).unwrap();
+        let x = Tensor::zeros(vec![1, 2, 4, 4]);
+        let y = layer.forward(&x, true).unwrap();
+        layer.forward(&x, false).unwrap();
+        let err = layer
+            .backward(&Tensor::zeros(y.shape().to_vec()))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("MaxPool2d::backward before forward"),
+            "{err}"
+        );
     }
 }

@@ -88,7 +88,7 @@ impl Layer for ResidualBlock {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
         let main = self.conv1.forward(input, train)?;
         let main = self.bn1.forward(&main, train)?;
-        let main = self.relu1.forward(&main, train)?;
+        let main = self.relu1.forward_owned(main, train)?;
         let main = self.conv2.forward(&main, train)?;
         let mut main = self.bn2.forward(&main, train)?;
 
@@ -101,14 +101,11 @@ impl Layer for ResidualBlock {
         };
         main.axpy(1.0, &residual)?;
 
-        // Final ReLU with a cached mask for backward.
-        let mask: Vec<bool> = main.as_slice().iter().map(|&x| x > 0.0).collect();
-        for (v, &m) in main.as_mut_slice().iter_mut().zip(&mask) {
-            if !m {
-                *v = 0.0;
-            }
+        // Final ReLU; a training pass caches its mask for backward.
+        self.out_mask = train.then(|| main.as_slice().iter().map(|&x| x > 0.0).collect());
+        for v in main.as_mut_slice() {
+            *v = if *v > 0.0 { *v } else { 0.0 };
         }
-        self.out_mask = Some(mask);
         Ok(main)
     }
 
@@ -136,7 +133,7 @@ impl Layer for ResidualBlock {
         // Main path, reversed.
         let g = self.bn2.backward(&grad_sum)?;
         let g = self.conv2.backward(&g)?;
-        let g = self.relu1.backward(&g)?;
+        let g = self.relu1.backward_owned(g)?;
         let g = self.bn1.backward(&g)?;
         let mut grad_input = self.conv1.backward(&g)?;
 
@@ -249,5 +246,23 @@ mod tests {
         assert_eq!(block.params().len(), 12);
         let identity = ResidualBlock::new(4, 4, 1, 1).unwrap();
         assert_eq!(identity.params().len(), 8);
+    }
+
+    #[test]
+    fn backward_after_inference_forward_errors() {
+        // An inference forward caches nothing and drops what a training
+        // forward left, so backward reports that no forward preceded it.
+        let mut layer = ResidualBlock::new(2, 4, 2, 1).unwrap();
+        let x = Tensor::zeros(vec![1, 2, 6, 6]);
+        let y = layer.forward(&x, true).unwrap();
+        layer.forward(&x, false).unwrap();
+        let err = layer
+            .backward(&Tensor::zeros(y.shape().to_vec()))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("ResidualBlock::backward before forward"),
+            "{err}"
+        );
     }
 }

@@ -70,25 +70,51 @@ impl Network {
     ///
     /// Propagates the first layer error (usually a shape mismatch).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NeuroError> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train)?;
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input, train)?;
+        for layer in rest {
+            x = layer.forward_owned(x, train)?;
         }
         Ok(x)
     }
 
-    /// Back-propagates a loss gradient, accumulating parameter gradients.
+    /// Back-propagates a loss gradient, accumulating parameter gradients
+    /// and returning the gradient with respect to the network input.
     ///
     /// # Errors
     ///
-    /// Propagates layer errors; calling `backward` before `forward` is an
-    /// error in any parameterized layer.
+    /// Propagates layer errors; calling `backward` without a preceding
+    /// training forward is an error in any layer.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NeuroError> {
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = layer.backward_owned(g)?;
         }
         Ok(g)
+    }
+
+    /// Back-propagates a loss gradient into the parameter gradients only:
+    /// every [`Param::grad`] ends bitwise equal to what
+    /// [`backward`](Self::backward) leaves, but the first layer skips the
+    /// gradient of the network input, which training never reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward`](Self::backward).
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NeuroError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(match g {
+                Some(g) => layer.backward_owned(g)?,
+                None => layer.backward(grad_output)?,
+            });
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     /// All trainable parameters, in layer order.

@@ -348,26 +348,42 @@ where
 }
 
 /// Splits `0..n` into fixed-size blocks of `block` items and runs `work`
-/// on each, returning results in block order.
+/// on each, returning results in block order. `states` supplies one
+/// value per block, handed to that block's `work` call by value — the
+/// way a caller gives each block its own `&mut` output rows or buffers.
 ///
 /// Because the block boundaries depend only on `(n, block)`, reducing the
 /// per-block results *in order* yields a bitwise-identical floating-point
 /// sum no matter how many workers the pool has — the contract conv/linear
 /// backward rely on. Set `parallel = false` to run inline (still the same
 /// block layout, hence the same numerics).
-pub(crate) fn map_blocks<R, F>(n: usize, block: usize, parallel: bool, work: F) -> Vec<R>
+///
+/// # Panics
+///
+/// Panics when `states` yields fewer values than there are blocks.
+pub(crate) fn map_blocks<T, R, F>(
+    n: usize,
+    block: usize,
+    parallel: bool,
+    states: impl IntoIterator<Item = T>,
+    work: F,
+) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    F: Fn(usize, usize) -> R + Sync,
+    F: Fn(usize, usize, T) -> R + Sync,
 {
     let block = block.max(1);
-    let ranges: Vec<(usize, usize)> = (0..n.div_ceil(block))
+    let blocks = n.div_ceil(block);
+    let items: Vec<((usize, usize), T)> = (0..blocks)
         .map(|b| (b * block, ((b + 1) * block).min(n)))
+        .zip(states)
         .collect();
-    if !parallel || ranges.len() <= 1 {
-        return ranges.into_iter().map(|(s, e)| work(s, e)).collect();
+    assert_eq!(items.len(), blocks, "map_blocks needs one state per block");
+    if !parallel || items.len() <= 1 {
+        return items.into_iter().map(|((s, e), t)| work(s, e, t)).collect();
     }
-    scoped_map(ranges, |(s, e)| work(s, e))
+    scoped_map(items, |((s, e), t)| work(s, e, t))
 }
 
 #[cfg(test)]
@@ -446,11 +462,11 @@ mod tests {
 
     #[test]
     fn map_blocks_layout_is_thread_count_invariant() {
-        let serial = map_blocks(23, 4, false, |s, e| (s, e));
-        let parallel = map_blocks(23, 4, true, |s, e| (s, e));
+        let serial = map_blocks(23, 4, false, 0.., |s, e, b| (s, e, b));
+        let parallel = map_blocks(23, 4, true, 0.., |s, e, b| (s, e, b));
         assert_eq!(serial, parallel);
-        assert_eq!(serial.first(), Some(&(0, 4)));
-        assert_eq!(serial.last(), Some(&(20, 23)));
+        assert_eq!(serial.first(), Some(&(0, 4, 0)));
+        assert_eq!(serial.last(), Some(&(20, 23, 5)));
     }
 
     #[test]

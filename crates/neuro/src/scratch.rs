@@ -27,7 +27,8 @@ pub(crate) enum Slot {
     PackA,
     /// GEMM packed B panel.
     PackB,
-    /// Conv im2col patch buffer.
+    /// Conv im2col patch buffer of an inference forward (a training
+    /// forward gathers into the layer's own panels).
     Col,
     /// Conv backward column-gradient buffer.
     GradCol,

@@ -8,6 +8,7 @@ use crate::optim::{Sgd, SgdConfig};
 use crate::rng::SimRng;
 use crate::tensor::Tensor;
 use crate::{softmax_cross_entropy, NeuroError};
+use safelight_obs::profile_span;
 
 /// Configuration for [`Trainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +103,7 @@ impl Trainer {
         network: &mut Network,
         data: &D,
     ) -> Result<TrainReport, NeuroError> {
+        let _span = profile_span("train");
         let cfg = &self.config;
         if cfg.batch_size == 0 {
             return Err(NeuroError::InvalidParameter {
@@ -156,6 +158,7 @@ impl Trainer {
                 let (batch, labels) = data.batch(chunk)?;
                 network.zero_grad();
 
+                let forward = profile_span("train.forward");
                 let clean = if sigma > 0.0 {
                     Some(perturb_weights(network, sigma, &mut rng))
                 } else {
@@ -163,7 +166,13 @@ impl Trainer {
                 };
                 let logits = network.forward(&batch, true)?;
                 let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-                network.backward(&grad)?;
+                drop(forward);
+                {
+                    // Nothing reads the gradient of the input batch.
+                    let _span = profile_span("train.backward");
+                    network.backward_params(&grad)?;
+                }
+                let _step = profile_span("train.step");
                 if let Some(clean_values) = clean {
                     restore_weights(network, clean_values);
                 }
@@ -347,6 +356,22 @@ mod tests {
         let a = accuracy(&mut net, &data, 8).unwrap();
         let b = accuracy(&mut net, &data, 8).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fit_leaves_no_training_cache_behind() {
+        // `fit` ends with an inference-mode accuracy pass, which drops
+        // every training cache: a backward right after has nothing to use.
+        let data = toy_data(16);
+        let cfg = TrainerConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..TrainerConfig::default()
+        };
+        let mut net = toy_net(7);
+        Trainer::new(cfg).fit(&mut net, &data).unwrap();
+        let err = net.backward(&Tensor::zeros(vec![16, 2])).unwrap_err();
+        assert!(err.to_string().contains("before forward"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests for the GEMM kernel tiers: the packed kernels against
 //! the naive reference across odd/prime/tiny shapes, the explicit SIMD
 //! micro-kernel against the tiled engine, the integer datapath against a
-//! widened-accumulator reference (exact), and bitwise thread-count
+//! widened-accumulator reference (exact), the range-copy im2col/col2im
+//! against per-element loops (bit for bit), and bitwise thread-count
 //! stability of the layers built on top of them.
 
 use proptest::prelude::*;
+use safelight_neuro::layers::PatchGeometry;
 use safelight_neuro::linalg::{int, reference};
 use safelight_neuro::{
     matmul, matmul_a_bt, matmul_at_b, matmul_with, Conv2d, GemmImpl, Layer, Linear, Tensor,
@@ -188,6 +190,158 @@ fn kernel_tiers_are_bit_stable_under_row_decomposition() {
                 imp.name()
             );
         }
+    }
+}
+
+/// The per-element im2col: one bounds branch per cell, writing only
+/// in-bounds taps of a pre-zeroed buffer.
+#[allow(clippy::too_many_arguments)]
+fn im2col_oracle(
+    (c, h, w, k, s, p): (usize, usize, usize, usize, usize, usize),
+    (oh, ow): (usize, usize),
+    sample: &[f32],
+    col: &mut [f32],
+    ld: usize,
+    offset: usize,
+) {
+    for ic in 0..c {
+        let plane = &sample[ic * h * w..(ic + 1) * h * w];
+        for kh in 0..k {
+            for kw in 0..k {
+                let row = (ic * k + kh) * k + kw;
+                let out_row = &mut col[row * ld + offset..row * ld + offset + oh * ow];
+                for oy in 0..oh {
+                    let iy = oy * s + kh;
+                    if iy < p || iy >= h + p {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = ox * s + kw;
+                        if ix < p || ix >= w + p {
+                            continue;
+                        }
+                        out_row[oy * ow + ox] = plane[(iy - p) * w + (ix - p)];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-element col2im, summing in the same `(row, oy, ox)` order.
+fn col2im_oracle(
+    (c, h, w, k, s, p): (usize, usize, usize, usize, usize, usize),
+    (oh, ow): (usize, usize),
+    col: &[f32],
+    ld: usize,
+    offset: usize,
+    grad: &mut [f32],
+) {
+    for ic in 0..c {
+        for kh in 0..k {
+            for kw in 0..k {
+                let row = (ic * k + kh) * k + kw;
+                let col_row = &col[row * ld + offset..row * ld + offset + oh * ow];
+                for oy in 0..oh {
+                    let iy = oy * s + kh;
+                    if iy < p || iy >= h + p {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = ox * s + kw;
+                        if ix < p || ix >= w + p {
+                            continue;
+                        }
+                        grad[(ic * h + iy - p) * w + (ix - p)] += col_row[oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The range-copy gather and scatter equal the per-element loops bit
+    /// for bit, for every kernel/stride/padding mix on odd image sizes,
+    /// with two samples side by side in one block matrix. The gather
+    /// writes every cell itself (the buffer starts as NaN); the scatter
+    /// adds onto existing gradient values in the same order.
+    #[test]
+    fn range_im2col_col2im_match_per_element_loops(
+        ki in 0usize..4, s in 1usize..3, p in 0usize..4,
+        hi in 0usize..6, wi in 0usize..6, c in 1usize..3, salt in 0.0f32..10.0,
+    ) {
+        let k: usize = [1, 3, 5, 7][ki];
+        let (h, w) = (2 * hi + 1, 2 * wi + 1);
+        // Raise the padding just enough for the kernel to fit (a 7×7
+        // kernel on a 1×1 image needs padding 3).
+        let p = p.max(k.saturating_sub(h.min(w)).div_ceil(2));
+        let geom = PatchGeometry::new(c, h, w, k, s, p).unwrap();
+        let (oh, ow) = geom.output_hw();
+        let dims = (c, h, w, k, s, p);
+        let per_sample = c * h * w;
+        let ncols = 2 * oh * ow;
+        let input = deterministic(2 * per_sample, salt);
+
+        let mut col = vec![f32::NAN; geom.rows() * ncols];
+        let mut expected = vec![0.0f32; geom.rows() * ncols];
+        for si in 0..2 {
+            let sample = &input[si * per_sample..(si + 1) * per_sample];
+            geom.im2col(sample, &mut col, ncols, si * oh * ow);
+            im2col_oracle(dims, (oh, ow), sample, &mut expected, ncols, si * oh * ow);
+        }
+        prop_assert_eq!(bits(&col), bits(&expected));
+
+        let grad_col = deterministic(geom.rows() * ncols, salt + 3.0);
+        let mut grad = deterministic(2 * per_sample, salt + 5.0);
+        let mut expected = grad.clone();
+        for si in 0..2 {
+            let range = si * per_sample..(si + 1) * per_sample;
+            geom.col2im(&grad_col, ncols, si * oh * ow, &mut grad[range.clone()]);
+            col2im_oracle(dims, (oh, ow), &grad_col, ncols, si * oh * ow, &mut expected[range]);
+        }
+        prop_assert_eq!(bits(&grad), bits(&expected));
+    }
+}
+
+/// ResNet's downsampling shortcut, a stride-2 1×1 projection without
+/// padding, on the even sizes the network feeds it.
+#[test]
+fn strided_projection_gather_matches_per_element_loop() {
+    for (c, hw) in [(8, 32), (16, 16), (24, 8), (3, 7)] {
+        let geom = PatchGeometry::new(c, hw, hw, 1, 2, 0).unwrap();
+        let (oh, ow) = geom.output_hw();
+        let input = deterministic(c * hw * hw, 0.3);
+        let mut col = vec![f32::NAN; geom.rows() * oh * ow];
+        let mut expected = vec![0.0f32; geom.rows() * oh * ow];
+        geom.im2col(&input, &mut col, oh * ow, 0);
+        im2col_oracle(
+            (c, hw, hw, 1, 2, 0),
+            (oh, ow),
+            &input,
+            &mut expected,
+            oh * ow,
+            0,
+        );
+        assert_eq!(bits(&col), bits(&expected), "{c}x{hw}x{hw}");
+        let mut grad = vec![0.0f32; c * hw * hw];
+        let mut expected_grad = grad.clone();
+        geom.col2im(&col, oh * ow, 0, &mut grad);
+        col2im_oracle(
+            (c, hw, hw, 1, 2, 0),
+            (oh, ow),
+            &col,
+            oh * ow,
+            0,
+            &mut expected_grad,
+        );
+        assert_eq!(bits(&grad), bits(&expected_grad), "{c}x{hw}x{hw}");
     }
 }
 

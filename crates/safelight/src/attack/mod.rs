@@ -279,12 +279,14 @@ impl std::str::FromStr for AttackTarget {
     type Err = SafelightError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        // The lower-case spec tokens, plus the `Display` spellings the
+        // reports print, so every printed target parses back.
         match s {
-            "conv" => Ok(Self::ConvBlock),
-            "fc" => Ok(Self::FcBlock),
-            "both" => Ok(Self::Both),
+            "conv" | "CONV" => Ok(Self::ConvBlock),
+            "fc" | "FC" => Ok(Self::FcBlock),
+            "both" | "CONV+FC" => Ok(Self::Both),
             other => Err(SafelightError::Parse(format!(
-                "unknown attack target `{other}` (expected conv|fc|both)"
+                "unknown attack target `{other}` (expected conv|fc|both or CONV|FC|CONV+FC)"
             ))),
         }
     }

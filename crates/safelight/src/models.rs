@@ -581,6 +581,48 @@ mod tests {
     }
 
     #[test]
+    fn params_only_backward_matches_full_backward_bitwise() {
+        // The trainer back-propagates without the input gradient; every
+        // parameter gradient must still equal the full backward's, on the
+        // plain CNN and on the residual/BatchNorm net (stride-2 blocks
+        // with 1×1 projections).
+        let shapes = [
+            (ModelKind::Cnn1, vec![1, 28, 28]),
+            (ModelKind::ResNet18s, vec![3, 32, 32]),
+        ];
+        for (kind, chw) in shapes {
+            // Five samples: one full batch block plus a ragged one.
+            let mut shape = vec![5];
+            shape.extend(&chw);
+            let len: usize = shape.iter().product();
+            let batch = Tensor::from_vec(
+                shape,
+                (0..len).map(|j| ((j * 7) % 13) as f32 / 13.0).collect(),
+            )
+            .unwrap();
+            let mut full = build_model(kind, 3).unwrap().network;
+            let mut params_only = full.clone();
+            let logits = full.forward(&batch, true).unwrap();
+            params_only.forward(&batch, true).unwrap();
+            let grad = Tensor::from_vec(
+                logits.shape().to_vec(),
+                (0..logits.len()).map(|j| (j as f32 * 0.37).sin()).collect(),
+            )
+            .unwrap();
+            full.backward(&grad).unwrap();
+            params_only.backward_params(&grad).unwrap();
+            let grads = |net: &Network| -> Vec<Vec<u32>> {
+                net.params()
+                    .iter()
+                    .map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(grads(&full), grads(&params_only), "{kind}");
+            assert!(grads(&full).iter().flatten().any(|&b| b != 0), "{kind}");
+        }
+    }
+
+    #[test]
     fn table1_columns_are_consistent() {
         let rows = table1().unwrap();
         assert_eq!(rows.len(), 3);

@@ -19,7 +19,7 @@ use safelight_serve::ArrivalModel;
 /// built from them reach the parsers' field and range checks, not only
 /// their first rejection.
 const TOKENS: &str = "avail|p99|p999|shed|spurious|default|closed|inf|poisson|bursty|fast|\
-optical|quantized|actuation|hotspot|laser|trim|uniform|clustered|targeted|conv|fc|both|\
+optical|quantized|actuation|hotspot|laser|trim|uniform|clustered|targeted|conv|fc|both|CONV|FC|\
 dead|stuck|drift|glitch|crash|drop|temp|rail|sentinel|=|,|:|/|+| |0|1|4|16|0.5|1.5|-1|\
 -0|nan|NaN|-inf|1e3|1e-400|255|256|18446744073709551616||é";
 
@@ -73,6 +73,10 @@ fn check_all(s: &str) {
     if let Ok(target) = s.parse::<AttackTarget>() {
         assert_eq!(
             target_spec(target).parse::<AttackTarget>().ok(),
+            Some(target)
+        );
+        assert_eq!(
+            target.to_string().parse::<AttackTarget>().ok(),
             Some(target)
         );
     }
@@ -217,6 +221,15 @@ proptest! {
             ..FaultSpec::new(vector, target(which_target), fraction, onset)
         };
         prop_assert_eq!(spec.to_spec_string().parse::<FaultSpec>().ok(), Some(spec));
+    }
+
+    /// Every attack target parses back from both of its printed forms:
+    /// the `Display` spelling the reports use and the spec-string token.
+    #[test]
+    fn attack_target_display_round_trips(which in any::<u8>()) {
+        let t = target(which);
+        prop_assert_eq!(t.to_string().parse::<AttackTarget>().ok(), Some(t));
+        prop_assert_eq!(target_spec(t).parse::<AttackTarget>().ok(), Some(t));
     }
 
     /// Every backend selector round-trips through its printed form.
