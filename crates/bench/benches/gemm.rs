@@ -11,6 +11,11 @@
 //!   CNN_1's conv2 (`16x72x196`) is small enough that `matmul` takes the
 //!   direct row-AXPY path;
 //! * transposed variants — the backward-pass forms `A·Bᵀ` and `Aᵀ·B`;
+//! * CNN_1's training GEMMs at their exact shapes, through the public
+//!   entry points the layers call (conv1's forward on the direct path,
+//!   the conv weight gradients on the weight-gradient path, conv2's input
+//!   gradient on the direct path), each against the reference loop nest
+//!   of the same variant;
 //! * the integer datapath — i8 codes, i32 accumulation, the quantized
 //!   backend's serving kernel;
 //! * a whole-network forward — CNN float vs integer datapath, the
@@ -41,6 +46,38 @@ const BASELINE_SHAPES: [(&str, usize, usize, usize); 3] = [
     ("8x512x256", 8, 512, 256),
     ("64x576x1024", 64, 576, 1024),
 ];
+
+/// CNN_1's training GEMMs as `(shape, entry point, m, k, n)`: conv1's
+/// forward `W·col`, the conv weight gradients `dY·colᵀ` and conv2's
+/// `dCol = Wᵀ·dY` (one four-sample batch block each).
+const TRAINING_SHAPES: [(&str, &str, usize, usize, usize); 4] = [
+    ("8x25x3136", "matmul", 8, 25, 3136),
+    ("8x3136x25", "a_bt", 8, 3136, 25),
+    ("16x784x72", "a_bt", 16, 784, 72),
+    ("72x16x784", "at_b", 72, 16, 784),
+];
+
+/// Runs `entry` (`matmul`, `a_bt` or `at_b`) on operands of the lengths
+/// its `(m, k, n)` implies, through the production entry point or, with
+/// `reference`, the seed loop nest of the same variant.
+fn training_gemm(
+    entry: &str,
+    reference: bool,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    mkn: [usize; 3],
+) {
+    let [m, k, n] = mkn;
+    match (entry, reference) {
+        ("matmul", false) => matmul(a, b, c, m, k, n),
+        ("matmul", true) => reference::matmul(a, b, c, m, k, n),
+        ("a_bt", false) => matmul_a_bt(a, b, c, m, k, n),
+        ("a_bt", true) => reference::matmul_a_bt(a, b, c, m, k, n),
+        ("at_b", false) => matmul_at_b(a, b, c, m, k, n),
+        _ => reference::matmul_at_b(a, b, c, m, k, n),
+    }
+}
 
 fn fill(len: usize, salt: f32) -> Vec<f32> {
     (0..len)
@@ -181,6 +218,32 @@ fn bench_transposed_variants(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_training_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_training");
+    group.sample_size(20);
+    for (label, entry, m, k, n) in TRAINING_SHAPES {
+        let a = fill(m * k, 1.0);
+        let b = fill(k * n, 2.0);
+        let mut out = vec![0.0f32; m * n];
+        for (kernel, reference) in [(entry, false), ("reference", true)] {
+            group.bench_function(BenchmarkId::new(kernel, label), |bench| {
+                bench.iter(|| {
+                    out.fill(0.0);
+                    training_gemm(
+                        entry,
+                        reference,
+                        black_box(&a),
+                        black_box(&b),
+                        &mut out,
+                        [m, k, n],
+                    );
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// One warm-up call, then the median of 7 timed calls of `f`.
 fn median_seconds(mut f: impl FnMut()) -> f64 {
     f();
@@ -279,6 +342,27 @@ fn emit_baseline(c: &mut Criterion) {
     });
     push_row(shape, "direct", direct_seconds, reference_seconds);
 
+    // CNN_1's training GEMMs through the entry points the layers call.
+    // Each sample times 25 calls (tens of microseconds each), so one
+    // scheduler hiccup cannot set the median.
+    for (shape, entry, m, k, n) in TRAINING_SHAPES {
+        let a = fill(m * k, 1.0);
+        let b = fill(k * n, 2.0);
+        let mut out = vec![0.0f32; m * n];
+        let mut per_call = |reference: bool| {
+            median_seconds(|| {
+                for _ in 0..25 {
+                    out.fill(0.0);
+                    training_gemm(entry, reference, &a, &b, &mut out, [m, k, n]);
+                }
+            }) / 25.0
+        };
+        let reference_seconds = per_call(true);
+        let entry_seconds = per_call(false);
+        push_row(shape, "reference", reference_seconds, reference_seconds);
+        push_row(shape, entry, entry_seconds, reference_seconds);
+    }
+
     // Whole-network serving forward, float vs integer datapath: the
     // end-to-end witness that the quantized backend's serving path is
     // faster, not just its inner kernel.
@@ -321,6 +405,7 @@ criterion_group!(
     bench_conv_shapes,
     bench_int_gemm,
     bench_transposed_variants,
+    bench_training_shapes,
     emit_baseline
 );
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use crate::init::he_normal;
-use crate::layers::{IntSpec, Layer, Param};
+use crate::layers::{IntSpec, Layer, Param, BATCH_BLOCK};
 use crate::linalg::int as intgemm;
 use crate::linalg::kernel_stats::{self, KernelClass};
 use crate::linalg::{matmul, matmul_a_bt, matmul_at_b};
@@ -12,12 +12,6 @@ use crate::parallel::map_blocks;
 use crate::rng::SimRng;
 use crate::scratch::{self, Slot, SlotI16, SlotI32};
 use crate::{NeuroError, Tensor};
-
-/// Samples per parallel work block. The block layout depends only on the
-/// batch size, never on the thread count, so per-block gradient reductions
-/// combine in a fixed order and backward results are bitwise stable across
-/// thread counts.
-const BATCH_BLOCK: usize = 4;
 
 /// The patch geometry of one convolution over a `[C, H, W]` sample: what
 /// [`im2col`](Self::im2col) gathers and [`col2im`](Self::col2im) scatters

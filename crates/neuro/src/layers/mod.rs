@@ -16,6 +16,12 @@ pub use residual::ResidualBlock;
 
 use crate::{NeuroError, Tensor};
 
+/// Samples per parallel work block of the batch-parallel layers (conv,
+/// max-pool). The block layout depends only on the batch size, never on
+/// the thread count, so per-block gradient reductions combine in a fixed
+/// order and results are bitwise stable across thread counts.
+pub(crate) const BATCH_BLOCK: usize = 4;
+
 /// Quantization geometry for the integer inference datapath.
 ///
 /// The quantized accelerator backend models finite converters: an input

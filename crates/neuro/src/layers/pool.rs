@@ -1,6 +1,7 @@
 //! Max pooling.
 
-use crate::layers::Layer;
+use crate::layers::{Layer, BATCH_BLOCK};
+use crate::parallel::map_blocks;
 use crate::{NeuroError, Tensor};
 
 /// 2-D max pooling over `[N, C, H, W]` batches.
@@ -108,17 +109,28 @@ impl Layer for MaxPool2d {
         }
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = (h / self.size, w / self.size);
+        let (per_in, per_out) = (c * h * w, c * oh * ow);
+        let size = self.size;
         let x = input.as_slice();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        // Only a training pass records where each maximum came from.
+        let mut out = vec![0.0f32; n * per_out];
+        // Each fixed block of samples pools into its own output rows; only
+        // a training pass records where each maximum came from.
+        let outs = out.chunks_mut(BATCH_BLOCK * per_out);
         if train {
             // Every slot is written, so a reused buffer needs no clearing.
-            self.argmax.resize(out.len(), 0);
-            let slots = self.argmax.as_mut_slice();
-            Self::pool_planes(self.size, x, (h, w), &mut out, |o, i| slots[o] = i);
+            self.argmax.resize(n * per_out, 0);
+            let blocks = outs.zip(self.argmax.chunks_mut(BATCH_BLOCK * per_out));
+            map_blocks(n, BATCH_BLOCK, true, blocks, |start, end, (out, slots)| {
+                let base = start * per_in;
+                let x_block = &x[base..end * per_in];
+                Self::pool_planes(size, x_block, (h, w), out, |o, i| slots[o] = base + i);
+            });
             self.input_shape = Some(shape.to_vec());
         } else {
-            Self::pool_planes(self.size, x, (h, w), &mut out, |_, _| {});
+            map_blocks(n, BATCH_BLOCK, true, outs, |start, end, out| {
+                let x_block = &x[start * per_in..end * per_in];
+                Self::pool_planes(size, x_block, (h, w), out, |_, _| {});
+            });
             self.argmax = Vec::new();
             self.input_shape = None;
         }
@@ -139,11 +151,21 @@ impl Layer for MaxPool2d {
                 actual: grad_output.shape().to_vec(),
             });
         }
+        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        let (per_in, per_out) = (c * h * w, c * (h / self.size) * (w / self.size));
         let mut grad_input = Tensor::zeros(shape);
-        let gi = grad_input.as_mut_slice();
-        for (&idx, &g) in argmax.iter().zip(grad_output.as_slice()) {
-            gi[idx] += g;
-        }
+        // Each block scatters into its own samples' input rows.
+        let blocks = grad_input
+            .as_mut_slice()
+            .chunks_mut(BATCH_BLOCK * per_in)
+            .zip(argmax.chunks(BATCH_BLOCK * per_out))
+            .zip(grad_output.as_slice().chunks(BATCH_BLOCK * per_out));
+        map_blocks(n, BATCH_BLOCK, true, blocks, |start, _, ((gi, idx), go)| {
+            let base = start * per_in;
+            for (&i, &g) in idx.iter().zip(go) {
+                gi[i - base] += g;
+            }
+        });
         Ok(grad_input)
     }
 
@@ -182,6 +204,42 @@ mod tests {
             .backward(&Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]).unwrap())
             .unwrap();
         assert_eq!(gx.as_slice(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    fn batch_blocks_match_one_whole_batch_scan() {
+        // Seven samples: a full block of four and a ragged block of three.
+        // Values repeat, so windows tie, and one window is all NaN.
+        let (n, c, h, w) = (7, 2, 5, 6);
+        let mut x: Vec<f32> = (0..n * c * h * w)
+            .map(|i| ((i * 37 % 11) as f32) - 5.0)
+            .collect();
+        let nan_plane = (5 * c + 1) * h * w;
+        for i in [0, 1, w, w + 1] {
+            x[nan_plane + i] = f32::NAN;
+        }
+        let mut want = vec![0.0f32; n * c * (h / 2) * (w / 2)];
+        let mut want_argmax = vec![0usize; want.len()];
+        MaxPool2d::pool_planes(2, &x, (h, w), &mut want, |o, i| want_argmax[o] = i);
+        assert_eq!(want[5 * c * 6 + 6], f32::NEG_INFINITY);
+        assert_eq!(want_argmax[5 * c * 6 + 6], nan_plane);
+
+        let mut pool = MaxPool2d::new(2).unwrap();
+        let input = Tensor::from_vec(vec![n, c, h, w], x).unwrap();
+        let got = pool.forward(&input, true).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.as_slice()), bits(&want));
+        assert_eq!(pool.argmax, want_argmax);
+
+        let go: Vec<f32> = (0..want.len()).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let mut want_gi = vec![0.0f32; n * c * h * w];
+        for (&i, &g) in want_argmax.iter().zip(&go) {
+            want_gi[i] += g;
+        }
+        let gi = pool
+            .backward(&Tensor::from_vec(got.shape().to_vec(), go).unwrap())
+            .unwrap();
+        assert_eq!(bits(gi.as_slice()), bits(&want_gi));
     }
 
     #[test]

@@ -39,6 +39,30 @@
 //! the tile configuration — never on the worker count — so results are
 //! **bitwise identical across thread counts** for every kernel tier.
 //!
+//! # Direct and weight-gradient paths
+//!
+//! Two shapes skip the packed engine (both only from the public entry
+//! points; [`matmul_with`] always packs). Both are recorded as the
+//! `direct` kernel class and span.
+//!
+//! * **Direct** (`m·k ≤ 2048`, B rows contiguous): every conv forward,
+//!   conv2's `dCol = Wᵀ·dY` and the FC `dX`/`dW`. A row-AXPY sweep over
+//!   B that keeps a 64-column strip of one C row in registers across the
+//!   whole depth loop. Each element takes `c += a·b` — a rounded
+//!   multiply, then a rounded add — in `p` order, exactly the loop nests
+//!   of [`reference::matmul`] and [`reference::matmul_at_b`], so it
+//!   equals them bit for bit.
+//! * **Weight gradient** (one side of at most two vectors, e.g. the conv
+//!   `dW = dY·colᵀ` and the FC forward). The operand with fewer rows is
+//!   packed, one `kc`-deep chunk at a time, into a panel one or two
+//!   vectors wide; the other operand's rows are read in place and
+//!   broadcast against it. Every output element gets one chain per
+//!   256-deep chunk, starting from `+0.0`, over the same operand pairs in
+//!   the same order, then is added into C chunk by chunk. That is what
+//!   the packed engine computes — fused on the SIMD tier, multiply-then-
+//!   add on the scalar one, and a product does not depend on which
+//!   operand is broadcast — so the two agree bit for bit.
+//!
 //! The seed kernels carried an `a == 0.0` skip branch in two of the three
 //! variants; it paid off only for sparse inputs and cost a branch per
 //! element on dense ones, so it is gone. The straight-ported seed kernels
@@ -190,7 +214,8 @@ pub mod kernel_stats {
         /// Seed reference loops (explicit [`matmul_with`](super::matmul_with)
         /// baseline calls).
         Reference,
-        /// Direct row-AXPY path for tiny A operands.
+        /// Direct row-AXPY path for tiny A operands, and the
+        /// weight-gradient path for products with one small side.
         Direct,
         /// Packed engine, scalar kernel, calling thread only.
         Tiled,
@@ -398,7 +423,8 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]` through an explicitly chosen kernel tier,
-/// bypassing the active-tier dispatch and the tiny-operand direct path.
+/// bypassing the active-tier dispatch and the direct and weight-gradient
+/// paths.
 ///
 /// This is the benchmark/test entry point: per-kernel rows in
 /// `BENCH_gemm.json` and the cross-kernel agreement proptests need to run
@@ -457,6 +483,10 @@ const PARALLEL_MIN_MADDS: usize = 1 << 20;
 /// sweep over B is faster and still vectorizes on the contiguous rows.
 const DIRECT_MAX_A_ELEMS: usize = 2048;
 
+/// Columns of one C row the direct path holds in registers across the
+/// whole depth loop (eight 256-bit vectors).
+const DIRECT_STRIP: usize = 64;
+
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     m: usize,
@@ -477,20 +507,21 @@ fn gemm(
     if allow_direct && m * k <= DIRECT_MAX_A_ELEMS && b.cs == 1 {
         let _span = profile_span_class(phase, "direct");
         kernel_stats::record(KernelClass::Direct);
-        for i in 0..m {
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for p in 0..k {
-                let a_ip = a.at(i, p);
-                let b_row = &b.data[p * b.rs..p * b.rs + n];
-                for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
-                    *c_ij += a_ip * b_pj;
-                }
-            }
-        }
+        gemm_direct(m, k, n, a, b, c);
         return;
     }
     let kern = imp.micro_kernel();
     let cfg = TILES.normalized_for(kern.mr(), kern.nr());
+    // Products with one small side (the conv weight gradient `dY·colᵀ`,
+    // the FC forward) broadcast the other operand straight from its rows.
+    if allow_direct {
+        if let Some(plan) = RowBroadcast::plan(m, n, a, b, kern, cfg) {
+            let _span = profile_span_class(phase, "direct");
+            kernel_stats::record(KernelClass::Direct);
+            plan.run(k, c, cfg.kc, kern);
+            return;
+        }
+    }
 
     // Row-block parallelism: worth it only for large products, and skipped
     // on pool workers — there the batch dimension above us is already
@@ -553,6 +584,157 @@ fn gemm(
     gemm_serial(m, k, n, a, b, c, cfg, kern);
 }
 
+/// `C += A·B` by row-AXPY sweeps over B's contiguous rows (`b.cs == 1`).
+/// Each C row is walked in strips of [`DIRECT_STRIP`] columns (then 8,
+/// then 1) held in a local array across the whole `p` loop, so C is
+/// loaded and stored once per strip instead of once per depth step. Every
+/// element still takes `c += a·b` (multiply, then add) in `p` order, the
+/// loop nest of [`reference::matmul`].
+fn gemm_direct(m: usize, k: usize, n: usize, a: View<'_>, b: View<'_>, c: &mut [f32]) {
+    let wide = n - n % DIRECT_STRIP;
+    let narrow = wide + (n - wide) / 8 * 8;
+    direct_strips::<DIRECT_STRIP>(m, k, n, 0..wide, a, b, c);
+    direct_strips::<8>(m, k, n, wide..narrow, a, b, c);
+    direct_strips::<1>(m, k, n, narrow..n, a, b, c);
+}
+
+/// The direct path over the `W`-wide strips starting in `cols`: strips
+/// outermost, so the `k × W` slab of B stays in L1 across every row.
+fn direct_strips<const W: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: std::ops::Range<usize>,
+    a: View<'_>,
+    b: View<'_>,
+    c: &mut [f32],
+) {
+    for j0 in cols.step_by(W) {
+        for i in 0..m {
+            let c_strip: &mut [f32; W] = (&mut c[i * n + j0..][..W]).try_into().unwrap();
+            let mut acc = *c_strip;
+            for p in 0..k {
+                let a_ip = a.at(i, p);
+                let b_strip: &[f32; W] = b.data[p * b.rs + j0..][..W].try_into().unwrap();
+                for (acc_j, &b_pj) in acc.iter_mut().zip(b_strip) {
+                    *acc_j += a_ip * b_pj;
+                }
+            }
+            *c_strip = acc;
+        }
+    }
+}
+
+/// The weight-gradient path: a product with one side of at most two
+/// vectors (`s` rows of the small operand `S`) and one long contiguous
+/// operand `L`. Only `S` is packed, per `kc` chunk, into a panel
+/// `[p][0..width]`; `L`'s rows are read in place and broadcast against
+/// it. Per output element this is the packed engine's arithmetic — one
+/// chain from `+0.0` per `kc`-deep chunk over the same operand pairs in
+/// the same `p` order, added into C chunk by chunk — so the two agree
+/// bit for bit (a product is the same whichever operand is broadcast).
+struct RowBroadcast<'a> {
+    /// The small operand as a logical `k × s` matrix.
+    small: View<'a>,
+    s: usize,
+    /// The broadcast operand: `l` rows of `k` contiguous values, row `r`
+    /// starting at `data[r * ld]`.
+    long: &'a [f32],
+    ld: usize,
+    l: usize,
+    /// C strides of an (`L` row, `S` row) output element.
+    c_ld_long: usize,
+    c_ld_small: usize,
+    /// Panel width: one or two vectors.
+    width: usize,
+}
+
+impl<'a> RowBroadcast<'a> {
+    /// Picks the operand with fewer rows as `S` when it fits two vectors
+    /// and the other one has contiguous depth rows. `A` as the long side
+    /// must fit one `mc` block: products the packed engine would split
+    /// across the pool keep the packed path.
+    fn plan(
+        m: usize,
+        n: usize,
+        a: View<'a>,
+        b: View<'a>,
+        kern: MicroKernel,
+        cfg: GemmConfig,
+    ) -> Option<Self> {
+        let lanes = kern.lanes();
+        let width = |s: usize| (s <= 2 * lanes).then(|| s.div_ceil(lanes) * lanes);
+        // S = A, broadcasting the rows of Bᵀ (C is written transposed).
+        let small_a = || {
+            if b.rs != 1 {
+                return None;
+            }
+            Some(Self {
+                small: View {
+                    data: a.data,
+                    rs: a.cs,
+                    cs: a.rs,
+                },
+                s: m,
+                long: b.data,
+                ld: b.cs,
+                l: n,
+                c_ld_long: 1,
+                c_ld_small: n,
+                width: width(m)?,
+            })
+        };
+        // S = B, broadcasting the rows of A.
+        let small_b = || {
+            if a.cs != 1 || m > cfg.mc {
+                return None;
+            }
+            Some(Self {
+                small: b,
+                s: n,
+                long: a.data,
+                ld: a.rs,
+                l: m,
+                c_ld_long: n,
+                c_ld_small: 1,
+                width: width(n)?,
+            })
+        };
+        if m <= n {
+            small_a().or_else(small_b)
+        } else {
+            small_b().or_else(small_a)
+        }
+    }
+
+    fn run(&self, k: usize, c: &mut [f32], kc: usize, kern: MicroKernel) {
+        let rows_per_tile = kern.tile_rows();
+        scratch::with_buffer(Slot::PackB, |panel| {
+            for pc in (0..k).step_by(kc) {
+                let kc = kc.min(k - pc);
+                pack_b_panel(self.small, pc, 0, kc, self.s, panel, self.width);
+                for r0 in (0..self.l).step_by(rows_per_tile) {
+                    // Rows past the end repeat the last one; their sums
+                    // are computed and dropped.
+                    let rows = std::array::from_fn(|i| {
+                        let r = (r0 + i).min(self.l - 1);
+                        &self.long[r * self.ld + pc..][..kc]
+                    });
+                    let mut tile = [0.0f32; simd::MAX_ROWS * simd::MAX_WIDTH];
+                    kern.row_tile(kc, &rows, panel, self.width, &mut tile);
+                    for i in 0..rows_per_tile.min(self.l - r0) {
+                        let c_row = (r0 + i) * self.c_ld_long;
+                        let sums = &tile[i * simd::MAX_WIDTH..][..self.s];
+                        for (j, &sum) in sums.iter().enumerate() {
+                            c[c_row + j * self.c_ld_small] += sum;
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
 /// The single-threaded blocked core: loops NC → KC → MC with B packed per
 /// (KC, NC) panel and A packed per (MC, KC) block.
 #[allow(clippy::too_many_arguments)]
@@ -610,9 +792,13 @@ fn pack_b_panel(
                     .copy_from_slice(&b.data[src_base..src_base + width]);
             }
         } else {
-            for p in 0..kc {
-                for j in 0..width {
-                    dst_panel[p * nr + j] = b.at(pc + p, jc + j0 + j);
+            // Contiguous source columns (`rs == 1`): read each column's
+            // depth run, write it down the panel.
+            debug_assert_eq!(b.rs, 1);
+            for j in 0..width {
+                let src = &b.data[(jc + j0 + j) * b.cs + pc..][..kc];
+                for (p, &v) in src.iter().enumerate() {
+                    dst_panel[p * nr + j] = v;
                 }
             }
         }
@@ -637,9 +823,22 @@ fn pack_a_block(
         let i0 = ib * mr;
         let height = mr.min(mc - i0);
         let dst_panel = &mut pack[ib * kc * mr..(ib + 1) * kc * mr];
-        for p in 0..kc {
+        if a.rs == 1 {
+            // Contiguous source columns (`Aᵀ·B`): copy slice-wise.
+            for p in 0..kc {
+                let src_base = (pc + p) * a.cs + (ic + i0);
+                dst_panel[p * mr..p * mr + height]
+                    .copy_from_slice(&a.data[src_base..src_base + height]);
+            }
+        } else {
+            // Contiguous source rows: read each row's depth run, write it
+            // down the panel.
+            debug_assert_eq!(a.cs, 1);
             for i in 0..height {
-                dst_panel[p * mr + i] = a.at(ic + i0 + i, pc + p);
+                let src = &a.data[(ic + i0 + i) * a.rs + pc..][..kc];
+                for (p, &v) in src.iter().enumerate() {
+                    dst_panel[p * mr + i] = v;
+                }
             }
         }
     }
@@ -903,6 +1102,49 @@ mod tests {
                 c_par, c_serial,
                 "{imp:?}: parallel row blocking changed numerics"
             );
+        }
+    }
+
+    #[test]
+    fn weight_gradient_path_equals_packed_engine_per_tier() {
+        // Every shape takes the path on every kernel (each has one side
+        // of at most two vectors); depths straddle the 256-deep chunks
+        // and C starts non-zero.
+        for imp in [GemmImpl::Tiled, GemmImpl::Simd] {
+            let kern = imp.micro_kernel();
+            let cfg = TILES.normalized_for(kern.mr(), kern.nr());
+            for (m, k, n) in [
+                (1, 1, 1),
+                (8, 3136, 25),
+                (16, 784, 72),
+                (5, 300, 3),
+                (40, 513, 7),
+                (16, 257, 100),
+            ] {
+                let a = deterministic_matrix(m, k, 0.4);
+                let b_t = deterministic_matrix(n, k, 0.9);
+                // A·Bᵀ views, exactly as `matmul_a_bt` builds them.
+                let va = View {
+                    data: &a,
+                    rs: k,
+                    cs: 1,
+                };
+                let vb = View {
+                    data: &b_t,
+                    rs: 1,
+                    cs: k,
+                };
+                assert!(
+                    RowBroadcast::plan(m, n, va, vb, kern, cfg).is_some(),
+                    "{imp:?} ({m},{k},{n}) does not take the weight-gradient path"
+                );
+                let mut c_path = deterministic_matrix(m, n, 2.5);
+                let mut c_packed = c_path.clone();
+                gemm(m, k, n, va, vb, &mut c_path, "test", imp, true);
+                gemm(m, k, n, va, vb, &mut c_packed, "test", imp, false);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&c_path), bits(&c_packed), "{imp:?} ({m},{k},{n})");
+            }
         }
     }
 

@@ -477,6 +477,14 @@ mod tests {
     }
 
     #[test]
+    fn par_map_with_a_task_per_item_matches_serial() {
+        // As many tasks as items: every item gets its own pool task.
+        let a = par_map(vec![3, 1, 2], 1, |x: i32| x + 1);
+        let b = par_map(vec![3, 1, 2], 3, |x: i32| x + 1);
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn par_map_never_runs_more_than_threads_items_at_once() {
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);

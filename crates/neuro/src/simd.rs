@@ -14,6 +14,14 @@
 //!   (12 zmm accumulators out of 32, giving the scheduler slack to hide
 //!   FMA latency).
 //!
+//! Each kernel also has a **row-broadcast tile** ([`MicroKernel::row_tile`])
+//! for the GEMM engine's weight-gradient path: up to [`MAX_ROWS`] rows
+//! of one operand are read in place and broadcast against a packed panel
+//! of the other operand that is one or two vectors wide. Per output
+//! element it runs exactly the chain the packed tile runs (same operand
+//! pairs, same depth order, same `+0.0` start), so the two agree bit for
+//! bit.
+//!
 //! Which kernel runs is decided **once per process** by runtime CPU
 //! feature detection (`is_x86_feature_detected!`), so binaries built for a
 //! generic baseline still use the wide kernels on capable machines, and
@@ -37,6 +45,11 @@
 pub(crate) const MAX_MR: usize = 6;
 /// Widest tile columns any kernel produces.
 pub(crate) const MAX_NR: usize = 32;
+/// Most rows a row-broadcast tile covers (the AVX-512 kernel's).
+pub(crate) const MAX_ROWS: usize = 8;
+/// Widest panel a row-broadcast tile takes: two vectors of the widest
+/// kernel, the tile's row stride.
+pub(crate) const MAX_WIDTH: usize = 32;
 
 /// A register-blocked `MR×NR` tile kernel over packed panels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +106,28 @@ impl MicroKernel {
             Self::Avx2Fma => 16,
             #[cfg(target_arch = "x86_64")]
             Self::Avx512 => 32,
+        }
+    }
+
+    /// Rows one row-broadcast tile covers.
+    pub(crate) fn tile_rows(self) -> usize {
+        match self {
+            Self::Scalar => 4,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2Fma => 6,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => MAX_ROWS,
+        }
+    }
+
+    /// Vector lanes: a row-broadcast panel is one or two vectors wide.
+    pub(crate) fn lanes(self) -> usize {
+        match self {
+            Self::Scalar => 16,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2Fma => 8,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => 16,
         }
     }
 
@@ -168,6 +203,43 @@ impl MicroKernel {
             },
         }
     }
+
+    /// Rank-`kc` row-broadcast tile: `tile[i·MAX_WIDTH + j] =
+    /// Σₚ rows[i][p] · panel[p·width + j]` for the first
+    /// [`tile_rows`](Self::tile_rows) rows, each element one chain from
+    /// `+0.0` in `p` order (fused on the SIMD kernels, multiply-then-add
+    /// on the scalar one). `width` is [`lanes`](Self::lanes) or twice it;
+    /// every row slice holds at least `kc` values.
+    #[inline]
+    pub(crate) fn row_tile(
+        self,
+        kc: usize,
+        rows: &[&[f32]; MAX_ROWS],
+        panel: &[f32],
+        width: usize,
+        tile: &mut [f32; MAX_ROWS * MAX_WIDTH],
+    ) {
+        debug_assert!(width == self.lanes() || width == 2 * self.lanes());
+        debug_assert!(panel.len() >= kc * width);
+        debug_assert!(rows[..self.tile_rows()].iter().all(|r| r.len() >= kc));
+        #[cfg(target_arch = "x86_64")]
+        let ptrs = rows.map(<[f32]>::as_ptr);
+        match self {
+            Self::Scalar => scalar_row_tile(kc, rows, panel, width, tile),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `detect` verified the features; the row, panel and
+            // tile bounds are checked by the debug asserts above and the
+            // caller's packed layout.
+            Self::Avx2Fma => unsafe {
+                avx2_row_tile(kc, &ptrs, panel.as_ptr(), width, tile.as_mut_ptr());
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Self::Avx512 => unsafe {
+                avx512_row_tile(kc, &ptrs, panel.as_ptr(), width, tile.as_mut_ptr());
+            },
+        }
+    }
 }
 
 /// Adds the valid `rows×cols` region of a `tile` (row stride `tile_ld`)
@@ -214,8 +286,34 @@ fn scalar_tile(kc: usize, a_panel: &[f32], b_panel: &[f32], tile: &mut [f32; MAX
     }
 }
 
+/// The portable row-broadcast tile: four rows, separate multiply and
+/// add like [`scalar_tile`].
+fn scalar_row_tile(
+    kc: usize,
+    rows: &[&[f32]; MAX_ROWS],
+    panel: &[f32],
+    width: usize,
+    tile: &mut [f32; MAX_ROWS * MAX_WIDTH],
+) {
+    const R: usize = 4;
+    let mut acc = [[0.0f32; MAX_WIDTH]; R];
+    for p in 0..kc {
+        let t = &panel[p * width..(p + 1) * width];
+        for (acc_row, row) in acc.iter_mut().zip(rows) {
+            let x = row[p];
+            for (acc_ij, &t_j) in acc_row.iter_mut().zip(t) {
+                *acc_ij += x * t_j;
+            }
+        }
+    }
+    for (i, acc_row) in acc.iter().enumerate() {
+        tile[i * MAX_WIDTH..i * MAX_WIDTH + width].copy_from_slice(&acc_row[..width]);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{MAX_ROWS, MAX_WIDTH};
     use std::arch::x86_64::{
         __m256, __m512, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
         _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
@@ -329,10 +427,110 @@ mod x86 {
             _mm512_storeu_ps(tr.add(16), row[1]);
         }
     }
+
+    /// `R` rows broadcast against a `V`-vector AVX2 panel; accumulators
+    /// land in `tile` at row stride [`MAX_WIDTH`].
+    #[inline(always)]
+    unsafe fn avx2_rows<const R: usize, const V: usize>(
+        kc: usize,
+        rows: &[*const f32; MAX_ROWS],
+        panel: *const f32,
+        tile: *mut f32,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for p in 0..kc {
+            let mut t = [_mm256_setzero_ps(); V];
+            for (v, t_v) in t.iter_mut().enumerate() {
+                *t_v = _mm256_loadu_ps(panel.add((p * V + v) * 8));
+            }
+            for (acc_row, row) in acc.iter_mut().zip(rows) {
+                let x = _mm256_set1_ps(*row.add(p));
+                for (acc_v, &t_v) in acc_row.iter_mut().zip(&t) {
+                    *acc_v = _mm256_fmadd_ps(x, t_v, *acc_v);
+                }
+            }
+        }
+        for (i, acc_row) in acc.iter().enumerate() {
+            for (v, acc_v) in acc_row.iter().enumerate() {
+                _mm256_storeu_ps(tile.add(i * MAX_WIDTH + v * 8), *acc_v);
+            }
+        }
+    }
+
+    /// Six-row AVX2+FMA row-broadcast tile over an 8- or 16-wide panel.
+    ///
+    /// Safety: requires AVX2+FMA, six row pointers with `kc` readable
+    /// values each, a `kc × width` panel and a `MAX_ROWS × MAX_WIDTH`
+    /// tile.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn avx2_row_tile(
+        kc: usize,
+        rows: &[*const f32; MAX_ROWS],
+        panel: *const f32,
+        width: usize,
+        tile: *mut f32,
+    ) {
+        if width == 8 {
+            avx2_rows::<6, 1>(kc, rows, panel, tile);
+        } else {
+            avx2_rows::<6, 2>(kc, rows, panel, tile);
+        }
+    }
+
+    /// `MAX_ROWS` rows broadcast against a `V`-vector AVX-512 panel.
+    #[inline(always)]
+    unsafe fn avx512_rows<const V: usize>(
+        kc: usize,
+        rows: &[*const f32; MAX_ROWS],
+        panel: *const f32,
+        tile: *mut f32,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); V]; MAX_ROWS];
+        for p in 0..kc {
+            let mut t = [_mm512_setzero_ps(); V];
+            for (v, t_v) in t.iter_mut().enumerate() {
+                *t_v = _mm512_loadu_ps(panel.add((p * V + v) * 16));
+            }
+            for (acc_row, row) in acc.iter_mut().zip(rows) {
+                let x = _mm512_set1_ps(*row.add(p));
+                for (acc_v, &t_v) in acc_row.iter_mut().zip(&t) {
+                    *acc_v = _mm512_fmadd_ps(x, t_v, *acc_v);
+                }
+            }
+        }
+        for (i, acc_row) in acc.iter().enumerate() {
+            for (v, acc_v) in acc_row.iter().enumerate() {
+                _mm512_storeu_ps(tile.add(i * MAX_WIDTH + v * 16), *acc_v);
+            }
+        }
+    }
+
+    /// Eight-row AVX-512F row-broadcast tile over a 16- or 32-wide panel.
+    ///
+    /// Safety: requires AVX-512F, eight row pointers with `kc` readable
+    /// values each, a `kc × width` panel and a `MAX_ROWS × MAX_WIDTH`
+    /// tile.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512_row_tile(
+        kc: usize,
+        rows: &[*const f32; MAX_ROWS],
+        panel: *const f32,
+        width: usize,
+        tile: *mut f32,
+    ) {
+        if width == 16 {
+            avx512_rows::<1>(kc, rows, panel, tile);
+        } else {
+            avx512_rows::<2>(kc, rows, panel, tile);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{avx2_6x16_full, avx2_6x16_tile, avx512_6x32_full, avx512_6x32_tile};
+use x86::{
+    avx2_6x16_full, avx2_6x16_tile, avx2_row_tile, avx512_6x32_full, avx512_6x32_tile,
+    avx512_row_tile,
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,8 @@
 //! Property tests for the GEMM kernel tiers: the packed kernels against
 //! the naive reference across odd/prime/tiny shapes, the explicit SIMD
-//! micro-kernel against the tiled engine, the integer datapath against a
+//! micro-kernel against the tiled engine, the direct path against the
+//! reference loop nests and the weight-gradient path against the packed
+//! engine (both bit for bit), the integer datapath against a
 //! widened-accumulator reference (exact), the range-copy im2col/col2im
 //! against per-element loops (bit for bit), and bitwise thread-count
 //! stability of the layers built on top of them.
@@ -150,6 +152,113 @@ proptest! {
     }
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A row-major `rows × cols` matrix, transposed.
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
+        }
+    }
+    t
+}
+
+/// `C += A·Bᵀ` through the public entry point (the weight-gradient path
+/// whenever one side is at most two vectors) and through the packed
+/// engine of the active tier on an explicitly transposed B; the two must
+/// agree bit for bit, on top of a non-zero C.
+fn assert_a_bt_matches_packed(m: usize, k: usize, n: usize, salt: f32) {
+    let a = deterministic(m * k, salt);
+    let b_t = deterministic(n * k, salt + 1.0);
+    let mut c_path = deterministic(m * n, salt + 2.0);
+    let mut c_packed = c_path.clone();
+    matmul_a_bt(&a, &b_t, &mut c_path, m, k, n);
+    matmul_with(
+        GemmImpl::active(),
+        &a,
+        &transpose(&b_t, n, k),
+        &mut c_packed,
+        m,
+        k,
+        n,
+    );
+    assert_eq!(
+        bits(&c_path),
+        bits(&c_packed),
+        "a_bt {m}x{k}x{n}: weight-gradient path and packed engine differ"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The direct path (`m·k ≤ 2048`) runs the reference loop nests'
+    /// arithmetic — multiply, then add, in `p` order — so `matmul` and
+    /// `matmul_at_b` equal them bit for bit, strip edges included.
+    #[test]
+    fn direct_matmul_and_at_b_equal_reference_bit_for_bit(
+        m in 1usize..=40, k in 1usize..=60, n in 1usize..=200, salt in 0.0f32..10.0,
+    ) {
+        let k = k.min(2048 / m);
+        let a = deterministic(m * k, salt);
+        let b = deterministic(k * n, salt + 1.0);
+        let c0 = deterministic(m * n, salt + 2.0);
+        let (mut c_direct, mut c_ref) = (c0.clone(), c0.clone());
+        matmul(&a, &b, &mut c_direct, m, k, n);
+        reference::matmul(&a, &b, &mut c_ref, m, k, n);
+        prop_assert_eq!(bits(&c_direct), bits(&c_ref));
+        let a_t = transpose(&a, m, k);
+        let (mut c_direct, mut c_ref) = (c0.clone(), c0);
+        matmul_at_b(&a_t, &b, &mut c_direct, m, k, n);
+        reference::matmul_at_b(&a_t, &b, &mut c_ref, m, k, n);
+        prop_assert_eq!(bits(&c_direct), bits(&c_ref));
+    }
+
+    /// The weight-gradient path computes the packed engine's chains: one
+    /// fused chain from `+0.0` per 256-deep chunk, added into C chunk by
+    /// chunk. Depths straddle chunk boundaries; `m`/`n` are rarely tile
+    /// multiples; either side may be the small one.
+    #[test]
+    fn weight_gradient_path_equals_packed_engine_bit_for_bit(
+        m in 1usize..=40, n in 1usize..=40, k in 1usize..=700, salt in 0.0f32..10.0,
+    ) {
+        assert_a_bt_matches_packed(m, k, n, salt);
+        // `C += A·B` with a long A (past the direct path) and a small B.
+        if m * k > 2048 {
+            let a = deterministic(m * k, salt);
+            let b = deterministic(k * n, salt + 1.0);
+            let mut c_path = deterministic(m * n, salt + 2.0);
+            let mut c_packed = c_path.clone();
+            matmul(&a, &b, &mut c_path, m, k, n);
+            matmul_with(GemmImpl::active(), &a, &b, &mut c_packed, m, k, n);
+            prop_assert_eq!(bits(&c_path), bits(&c_packed));
+        }
+    }
+}
+
+/// The conv weight gradients `dW += dY·colᵀ` of CNN_1 (`conv1`, `conv2`)
+/// and ResNet18 (stem and stages) plus CNN_1's FC forward, at their exact
+/// training shapes.
+#[test]
+fn conv_weight_gradient_shapes_equal_packed_engine_bit_for_bit() {
+    for (m, k, n) in [
+        (8, 3136, 25),
+        (16, 784, 72),
+        (8, 4096, 27),
+        (8, 4096, 72),
+        (16, 1024, 144),
+        (24, 256, 216),
+        (32, 64, 288),
+        (32, 784, 48),
+    ] {
+        assert_a_bt_matches_packed(m, k, n, 0.7);
+    }
+}
+
 /// Every available kernel tier is bitwise stable under row decomposition:
 /// computing `C` in one call agrees exactly with computing disjoint row
 /// blocks in separate calls. The batch-parallel layers split work exactly
@@ -258,10 +367,6 @@ fn col2im_oracle(
             }
         }
     }
-}
-
-fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {

@@ -20,6 +20,7 @@
 //! avalanche mixing, so reports are bitwise independent of the worker
 //! thread count.
 
+use safelight_neuro::parallel::par_map;
 use safelight_neuro::Network;
 use safelight_onn::{
     ConditionMap, InferenceBackend, SentinelPlan, TelemetryFrame, TelemetryProbe, WeightMapping,
@@ -27,7 +28,6 @@ use safelight_onn::{
 
 use crate::attack::{fold, RingSalience, ScenarioSpec};
 use crate::detect::Detector;
-use crate::eval::par_map;
 use crate::eval::susceptibility::{inject_all, needs_salience};
 use crate::SafelightError;
 

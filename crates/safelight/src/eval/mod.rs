@@ -77,21 +77,6 @@ impl BoxStats {
     }
 }
 
-/// Maps `items` through `work` in input order, fanning out across the
-/// workspace's shared worker pool (see [`safelight_neuro::parallel`]) when
-/// `threads > 1`. The seed spawned scoped OS threads per call; the pool
-/// amortizes thread creation across the whole sweep and lets trial-level
-/// and batch-level parallelism share one set of cores without
-/// oversubscription.
-pub(crate) fn par_map<T, R, F>(items: Vec<T>, threads: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    safelight_neuro::parallel::par_map(items, threads, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,18 +101,5 @@ mod tests {
         assert_eq!(s.min, 0.1);
         assert_eq!(s.median, 0.5);
         assert_eq!(s.max, 0.9);
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map((0..100).collect(), 4, |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_single_thread_matches() {
-        let a = par_map(vec![3, 1, 2], 1, |x: i32| x + 1);
-        let b = par_map(vec![3, 1, 2], 3, |x: i32| x + 1);
-        assert_eq!(a, b);
     }
 }

@@ -2,11 +2,11 @@
 //! versus the original model at each attack intensity, and how much of the
 //! attack-induced drop the robust model recovers.
 
+use safelight_neuro::parallel::par_map;
 use safelight_neuro::{accuracy, Dataset, Network};
 use safelight_onn::{ConditionMap, InferenceBackend, WeightMapping};
 
 use crate::attack::{AttackTarget, ScenarioSpec, VectorSpec};
-use crate::eval::par_map;
 use crate::eval::susceptibility::inject_all;
 use crate::SafelightError;
 

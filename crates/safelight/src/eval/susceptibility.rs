@@ -1,11 +1,11 @@
 //! The §IV susceptibility analysis (Fig. 7): accuracy of a model under
 //! every attack scenario.
 
+use safelight_neuro::parallel::par_map;
 use safelight_neuro::{accuracy, Dataset, Network};
 use safelight_onn::{AcceleratorConfig, InferenceBackend, WeightMapping};
 
 use crate::attack::{inject_full, RingSalience, ScenarioSpec, Selection};
-use crate::eval::par_map;
 use crate::SafelightError;
 
 /// Accuracy of one attack trial.
